@@ -20,6 +20,7 @@ from time import perf_counter
 import numpy as np
 
 from .constants import ConstantsCatalog, ball_volume
+from .geom_core import wedge_norm
 from .hypersurface import (
     DiscreteHypersurface,
     UniformCover,
@@ -123,17 +124,12 @@ def _orthonormal_span(W_rows):
     return q.T
 
 
-def _wedge_rows(V):
-    V = np.asarray(V, dtype=float)
-    return math.sqrt(max(float(np.linalg.det(V @ V.T)), 0.0))
-
-
 def _bl2(W, sets, weights):
     """BL_2 = prod_i |wedge of the basis rows in set i|^{p_i} / |wedge of all|."""
     W = np.asarray(W, dtype=float)
     num = 1.0
     for A, p in zip(sets, weights):
-        num *= _wedge_rows(W[list(A)]) ** p
+        num *= wedge_norm(W[list(A)]) ** p
     return num / abs(float(np.linalg.det(W)))
 
 
@@ -351,6 +347,15 @@ def _check_vis_p1_upper(instance, params):
     )
 
 
+def _lewis_details(res):
+    """Solver diagnostics carried by every report built on a Lewis solve."""
+    return {
+        "lewis_converged": res.converged,
+        "lewis_defect": res.defect,
+        "lewis_iterations": res.iterations,
+    }
+
+
 def _lewis_eigenframe(s, p=1.0):
     res = lewis_solve(s, p)
     evals, evecs = np.linalg.eigh(res.u)
@@ -376,13 +381,10 @@ def _check_vis_p1_lower_lewis(instance, params):
         vis,
         constant=c_d,
         constant_formula="c_d = (1/(2 sqrt d))(d!/prod sqrt(d_i!))^(1/d)",
+        # a frame from an unconverged solve is not a Lewis frame
+        verdict=None if res.converged else "inconclusive",
         seed=int(params.get("seed", 0)),
-        details={
-            "dims": dims,
-            "lewis_defect": res.defect,
-            "lewis_iterations": res.iterations,
-            "relation": "leq",
-        },
+        details={"dims": dims, **_lewis_details(res), "relation": "leq"},
     )
 
 
@@ -418,13 +420,14 @@ def _check_reverse_lw_zonoid(instance, params):
         rhs,
         constant=constant,
         constant_formula="d^(d/2)/prod sqrt(d_j!)",
+        verdict=None if res.converged else "inconclusive",
         seed=int(params.get("seed", 0)),
         details={
             "dims": dims,
             "variant": variant,
             "volume": vol,
             "shadows": shadows,
-            "lewis_defect": res.defect,
+            **_lewis_details(res),
             "relation": "leq",
         },
     )
@@ -652,6 +655,8 @@ def _check_q_inf_a(instance, params):
     det_bound_printed = math.sqrt(math.factorial(d) / d**d) * q ** (-float(d))
     det_bound_corrected = det_u_lower_bound(d, p, q)
     verdict = "pass" if (lower_ok and upper_ok) else "fail"
+    if not res.converged:
+        verdict = "inconclusive"  # the witness a0 is built from the solver's u
     return make_report(
         "Q_INF_A",
         (s.to_dict(), p),
@@ -676,7 +681,7 @@ def _check_q_inf_a(instance, params):
             "det_lower_printed": det_bound_printed,
             "det_lower_corrected": det_bound_corrected,
             "det_printed_ok": bool(abs(det_u) + 1e-8 * det_bound_printed >= det_bound_printed),
-            "lewis_defect": res.defect,
+            **_lewis_details(res),
             "equality_gap_upper": abs(a0 - upper_const * q),
             "relation": "sandwich",
         },
@@ -703,6 +708,8 @@ def _check_vis_sandwich(instance, params):
         verdict = "pass"
     elif lower_verdict != "fail" and upper_verdict != "fail":
         verdict = "inconclusive"
+    if not res.converged:
+        verdict = "inconclusive"
     return make_report(
         "VIS_SANDWICH",
         (s.to_dict(), p),
@@ -725,6 +732,7 @@ def _check_vis_sandwich(instance, params):
             "printed_upper_constant": printed_upper_constant,
             "printed_upper_ok": verdict_leq(vest.value, printed_upper_constant * q, vest.std_error)
             != "fail",
+            **_lewis_details(res),
             "relation": "sandwich",
         },
     )
@@ -843,6 +851,10 @@ _HANDLERS = {
 CHECK_IDS = tuple(sorted(_HANDLERS))
 
 
+#: verdicts from worst to best
+_SEVERITY = ("fail", "inconclusive", "pass")
+
+
 def run_check(check_id, instance=None, params=None) -> CheckReport:
     """Run one registry check.
 
@@ -877,10 +889,13 @@ def run_check(check_id, instance=None, params=None) -> CheckReport:
     report.runtime_ms = (perf_counter() - started) * 1000.0
     if corrupt is not None:
         # test hook: scale the right-hand side and re-judge, to confirm the
-        # harness surfaces violations
+        # harness surfaces violations; the re-judged verdict never improves
+        # on the handler's, so an inconclusive report (bad instance,
+        # unconverged solver) cannot turn into a pass
         report.rhs = report.rhs * float(corrupt)
         report.margin = report.rhs - report.lhs
-        report.verdict = verdict_leq(report.lhs, report.rhs, report.mc_error)
+        rejudged = verdict_leq(report.lhs, report.rhs, report.mc_error)
+        report.verdict = min(report.verdict, rejudged, key=_SEVERITY.index)
         report.details["corrupted_rhs_factor"] = float(corrupt)
     return report
 

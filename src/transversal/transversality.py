@@ -8,10 +8,27 @@ Exact enumeration walks the tuple space in fixed-size chunks with batched
 Gram determinants (refined through singular values near rank deficiency);
 per-chunk partial sums are combined with math.fsum, so the result is
 independent of the worker count.
+
+A tuple that repeats an atom has two equal rows, so its Gram determinant is
+refined through singular values and the rank floor makes it exactly 0.  When
+every slot holds the same surface object, enumeration therefore skips those
+tuples, by one of three routes:
+
+* subset     -- slot-symmetric integrands (Q_j^p sums): the j-subsets of the
+                atoms, each standing for its j! orderings;
+* injective  -- integrands that are not slot-symmetric but vanish on
+                repeated atoms (the cover-factor refinement): ordered tuples
+                of distinct atoms;
+* product    -- any other slot list: all ordered tuples.
+
+The budget still bounds the ordered tuple space prod_k m_k, whatever route
+does the work.  Index blocks are generated lazily, CHUNK at a time, so no
+full index array is ever held in memory.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -21,7 +38,7 @@ import numpy as np
 
 from .geom_core import DEGENERATE_DET, WEDGE_REFINE_REL, unit_directions
 from .hypersurface import DiscreteHypersurface, UniformCover, validate_cover
-from .reports import make_report, verdict_eq, verdict_leq
+from .reports import make_report, verdict_leq
 
 #: fixed enumeration chunk (worker-count invariant)
 CHUNK = 1 << 17
@@ -55,22 +72,52 @@ def _as_surface_list(surfaces, j=None):
     return surfaces
 
 
-def _chunk_ranges(total):
-    return [(lo, min(lo + CHUNK, total)) for lo in range(0, total, CHUNK)]
+def _index_blocks(sizes, route="product"):
+    """Tuple indices, lazily, as (n, j) integer arrays of at most CHUNK rows.
+
+    ``product`` walks all ordered tuples of range(sizes[0]) x ...; ``subset``
+    and ``injective`` take every slot from range(sizes[0]) and walk its
+    j-subsets or its ordered tuples of distinct entries.  Block boundaries
+    depend only on the sizes and the route.
+    """
+    j = len(sizes)
+    if route == "product":
+        total = math.prod(sizes)
+        for lo in range(0, total, CHUNK):
+            idx = np.unravel_index(np.arange(lo, min(lo + CHUNK, total)), sizes)
+            yield np.stack(idx, axis=1)
+        return
+    walk = itertools.combinations if route == "subset" else itertools.permutations
+    tuples = walk(range(sizes[0]), j)
+    while True:
+        flat = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(tuples, CHUNK)), dtype=np.intp
+        )
+        if flat.size == 0:
+            return
+        yield flat.reshape(-1, j)
 
 
-def _gather(surfaces, sizes, lo, hi):
-    """Weights (N,) and stacked vectors (N, j, d) for tuple indices [lo, hi)."""
-    idx = np.unravel_index(np.arange(lo, hi), sizes)
-    n = hi - lo
-    j = len(surfaces)
-    d = surfaces[0].d
-    V = np.empty((n, j, d))
-    W = np.ones(n)
-    for k, s in enumerate(surfaces):
-        V[:, k, :] = s.vectors[idx[k]]
-        W *= s.weights[idx[k]]
-    return W, V
+def _tuple_blocks(surfaces, *, symmetric=True):
+    """Weights (n,), stacked vectors (n, j, d) and the multiplicity of each
+    block of the tuple sum over ``surfaces``.
+
+    ``symmetric`` says the summand is invariant under reordering the slots;
+    with one surface object in every slot, the sum then runs over j-subsets
+    (multiplicity j!), otherwise over injective tuples (multiplicity 1).
+    Tuples that repeat an atom are skipped on both routes, which is exact
+    because their wedge is 0.
+    """
+    route = "product"
+    if all(s is surfaces[0] for s in surfaces):
+        route = "subset" if symmetric else "injective"
+    mult = math.factorial(len(surfaces)) if route == "subset" else 1
+    for idx in _index_blocks([s.m for s in surfaces], route):
+        W = np.ones(idx.shape[0])
+        for k, s in enumerate(surfaces):
+            W *= s.weights[idx[:, k]]
+        V = np.stack([s.vectors[idx[:, k]] for k, s in enumerate(surfaces)], axis=1)
+        yield W, V, mult
 
 
 def _sv_gram_dets(V):
@@ -97,25 +144,26 @@ def _batched_gram_dets(V):
     return det
 
 
-def _map_chunks(fn, total, workers):
-    ranges = _chunk_ranges(total)
-    if workers <= 1 or len(ranges) <= 1:
-        return [fn(lo, hi) for lo, hi in ranges]
+def _map_blocks(fn, blocks, workers):
+    """[fn(*block) for block in blocks] with at most ``workers`` blocks in
+    flight, so memory stays at one block per worker; results keep block order."""
+    if workers <= 1:
+        return [fn(*b) for b in blocks]
+    out = []
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(lambda r: fn(*r), ranges))
+        while wave := list(itertools.islice(blocks, workers)):
+            out.extend(ex.map(lambda b: fn(*b), wave))
+    return out
 
 
 def _q_sum(surfaces, p, workers):
     """Raw j-fold sum (Q_j^p to the power jp), exact enumeration."""
-    sizes = [s.m for s in surfaces]
-    total = int(np.prod(sizes))
 
-    def chunk_sum(lo, hi):
-        W, V = _gather(surfaces, sizes, lo, hi)
+    def chunk_sum(W, V, mult):
         dets = _batched_gram_dets(V)
-        return float(np.sum(W * dets ** (p / 2.0)))
+        return mult * float(np.sum(W * dets ** (p / 2.0)))
 
-    return math.fsum(_map_chunks(chunk_sum, total, workers))
+    return math.fsum(_map_blocks(chunk_sum, _tuple_blocks(surfaces), workers))
 
 
 def _check_budget(surfaces, budget):
@@ -128,7 +176,8 @@ def _check_budget(surfaces, budget):
 
 
 def q_exact(surfaces, j, p, *, budget=DEFAULT_BUDGET, workers=None) -> float:
-    """Exact Q_j^p by full tuple enumeration.
+    """Exact Q_j^p by tuple enumeration (j-subsets when a single surface
+    fills every slot, all ordered tuples otherwise).
 
     Parameters
     ----------
@@ -139,7 +188,8 @@ def q_exact(surfaces, j, p, *, budget=DEFAULT_BUDGET, workers=None) -> float:
     p : float
         Positive exponent.
     budget : int
-        Maximum admissible tuple-space size.
+        Maximum admissible ordered tuple-space size prod_k m_k, whichever
+        route does the work.
     workers : int, optional
         Thread count; result is independent of it.
     """
@@ -248,16 +298,13 @@ def finner_check(surfaces, cover, p, *, budget=DEFAULT_BUDGET, workers=None, see
     for Q_i, A, a in zip(block_Q, cover.sets, cover.alphas):
         classical *= Q_i ** (a * len(A) / j)
 
-    sizes = [s.m for s in surfaces]
-    total = int(np.prod(sizes))
     sets = [list(A) for A in cover.sets]
     alphas = np.array(cover.alphas)
     raw_arr = np.array(block_raw)
     degenerate_blocks = bool(np.any(raw_arr == 0.0))
 
-    def chunk_stats(lo, hi):
-        W, V = _gather(surfaces, sizes, lo, hi)
-        n = hi - lo
+    def chunk_stats(W, V, mult):
+        n = len(W)
         U = V / np.where(
             (norms := np.linalg.norm(V, axis=2))[:, :, None] == 0.0, 1.0, norms[:, :, None]
         )
@@ -281,14 +328,18 @@ def finner_check(surfaces, cover, p, *, budget=DEFAULT_BUDGET, workers=None, see
             F = _batched_gram_dets(V[:, A, :]) ** (p / 2.0)
             ratio *= (F / raw) ** a if raw > 0 else 0.0
         rho = np.where(degenerate, 0.0, np.minimum(np.sqrt(det_full) * np.exp(-rho_den_log), 1.0))
-        return float(np.sum(W * ratio * rho**p)), float(np.max(rho))
+        return mult * float(np.sum(W * ratio * rho**p)), float(np.max(rho))
 
     if degenerate_blocks:
         refinement, sup_rho = 0.0, 0.0
     else:
-        stats = _map_chunks(chunk_stats, total, workers)
+        # rho is not slot-symmetric, but it vanishes on repeated atoms, so
+        # one surface in every slot takes the injective route
+        blocks = _tuple_blocks(surfaces, symmetric=False)
+        stats = _map_blocks(chunk_stats, blocks, workers)
         refinement = math.fsum(s[0] for s in stats) ** (1.0 / (j * p))
-        sup_rho = max(s[1] for s in stats)
+        # no injective tuples (m < j): every tuple repeats an atom, rho = 0
+        sup_rho = max((s[1] for s in stats), default=0.0)
 
     rhs_refined = classical * refinement
     rhs_coarse = classical * sup_rho ** (1.0 / j)

@@ -1,5 +1,13 @@
 """Shared pytest plumbing: collect acceptance-criterion verdict lines and
-echo them in the terminal summary, where capture cannot swallow them."""
+echo them in the terminal summary, where capture cannot swallow them; and
+the default hypothesis profile."""
+
+from hypothesis import settings
+
+# Property tests replay the same examples on every run and have no per-example
+# deadline, so a slow or loaded host cannot make them flaky.
+settings.register_profile("transversal", derandomize=True, deadline=None)
+settings.load_profile("transversal")
 
 acceptance_lines = []
 

@@ -2,12 +2,14 @@
 
 Nothing here imports from the package's numerical core beyond plain numpy
 arrays; determinants use cofactor expansion, sphere integrals use 1-D
-quadrature, zonogon areas use an explicit vertex walk, and Minkowski-sum
-volumes use Monte Carlo membership with closed-form distances.
+quadrature, zonogon areas use an explicit vertex walk, Minkowski-sum
+volumes use Monte Carlo membership with closed-form distances, and mixed
+volumes use a per-tuple loop.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -104,3 +106,42 @@ def cross3(u, v):
     return np.array(
         [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
     )
+
+
+def mixed_volume_oracle(d, entries, body_generators=None, rank_tol=1e-10):
+    """V(K[d-k], E_1, ..., E_k) by a per-tuple Python loop.
+
+    ``body_generators`` None means K is the unit ball; otherwise K is the
+    zonotope sum [-g, g] over its rows.  An entry is a (n, d) array (the
+    zonotope of its rows, a factor 2 per segment) or a length-d vector (the
+    segment [0, w]).  Each tuple (w_1..w_k) of entry generators contributes
+
+        |w_1 ^ ... ^ w_k| * |shadow of K onto span(w)^perp| / (k! C(d, k)),
+
+    with the shadow found from an SVD null space and cofactor determinants.
+    Tuples whose Gram determinant is at most rank_tol^2 times the product of
+    max(|w_i|^2, 1) are skipped as dependent.
+    """
+    k = len(entries)
+    gens = [np.atleast_2d(np.asarray(e, dtype=float)) for e in entries]
+    doubles = sum(np.ndim(e) == 2 for e in entries)
+    total = 0.0
+    for W in itertools.product(*gens):
+        W = np.array(W)
+        gram = (W @ W.T).tolist()
+        det = max(det_cofactor(gram), 0.0)
+        if det <= rank_tol**2 * math.prod(max(gram[i][i], 1.0) for i in range(k)):
+            continue
+        r = d - k
+        if r == 0:
+            shadow = 1.0
+        elif body_generators is None:
+            shadow = math.pi ** (r / 2) / math.gamma(r / 2 + 1)
+        else:
+            frame = np.linalg.svd(W)[2][k:]
+            P = np.asarray(body_generators, dtype=float) @ frame.T
+            shadow = 2.0**r * sum(
+                abs(det_cofactor(P[list(rows)])) for rows in itertools.combinations(range(len(P)), r)
+            )
+        total += math.sqrt(det) * shadow
+    return 2.0**doubles * total / (math.factorial(k) * math.comb(d, k))

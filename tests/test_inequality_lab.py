@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from transversal import inequality_lab
 from transversal.hypersurface import random_surface, save_surface
 from transversal.inequality_lab import (
     CHECK_IDS,
@@ -64,6 +65,36 @@ def test_maximizer_covers_both_regimes():
     assert high.verdict == "pass"
     assert high.rhs == pytest.approx(0.5)  # four-point energy
     assert high.details["strict_gap"] > 0.0
+
+
+def test_unconverged_lewis_solve_is_inconclusive():
+    # at p=4 the fixed-point iteration stalls on this instance (defect ~0.89)
+    report = run_check("Q_INF_A", random_surface(2, 3, seed=10), {"p": 4})
+    assert report.details["lewis_converged"] is False
+    assert report.details["lewis_defect"] > 0.5
+    assert report.details["lewis_iterations"] > 0
+    assert report.verdict == "inconclusive"
+    # re-judging through the corruption hook keeps it inconclusive
+    rejudged = run_check(
+        "Q_INF_A", random_surface(2, 3, seed=10), {"p": 4, "_corrupt_rhs_factor": 1.0}
+    )
+    assert rejudged.verdict == "inconclusive"
+
+
+@pytest.mark.parametrize(
+    "check_id", ["Q_INF_A", "VIS_SANDWICH", "VIS_P1_LOWER_LEWIS", "REVERSE_LW_ZONOID"]
+)
+def test_lewis_checks_report_solver_state(check_id, monkeypatch):
+    params = {"seed": 5, "n_samples": 20_000}
+    converged = run_check(check_id, params=params)
+    assert converged.verdict == "pass"
+    assert converged.details["lewis_converged"] is True
+    solve = inequality_lab.lewis_solve
+    monkeypatch.setattr(inequality_lab, "lewis_solve", lambda s, p: solve(s, p, max_iter=0))
+    stalled = run_check(check_id, params=params)
+    assert stalled.details["lewis_converged"] is False
+    assert stalled.details["lewis_iterations"] == 0
+    assert stalled.verdict == "inconclusive"
 
 
 def test_unknown_check_id_raises():

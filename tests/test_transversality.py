@@ -1,8 +1,11 @@
+import copy
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from transversal.hypersurface import (
     DiscreteHypersurface,
@@ -121,6 +124,68 @@ def test_finner_requires_weighted_cover():
     s = random_surface(3, 4, seed=1)
     with pytest.raises(ValueError):
         finner_check(s, UniformCover(3, [(0,), (1,), (2,)], s=1), 1.0)
+
+
+CYCLE4 = UniformCover(4, [(0, 1), (1, 2), (2, 3), (3, 0)], alphas=(0.5,) * 4)
+
+
+def _distinct_slots(s, j):
+    """j slots with the atoms of s, as distinct objects: the ordered-product route."""
+    return [s] + [copy.copy(s) for _ in range(j - 1)]
+
+
+@given(
+    d=st.integers(1, 4),
+    m=st.integers(1, 7),
+    j_frac=st.floats(0.0, 1.0),
+    p=st.floats(0.5, 4.0),
+    seed=st.integers(0, 2**16),
+)
+def test_q_subset_route_matches_product_route(d, m, j_frac, p, seed):
+    j = 1 + min(int(j_frac * d), d - 1)
+    s = random_surface(d, m, seed)
+    subset = q_exact([s] * j, j, p)
+    product = q_exact(_distinct_slots(s, j), j, p)
+    assert subset == pytest.approx(product, rel=1e-12, abs=0.0)
+
+
+@given(m=st.integers(1, 7), p=st.floats(0.5, 4.0), seed=st.integers(0, 2**16))
+def test_finner_injective_route_matches_product_route(m, p, seed):
+    s = random_surface(4, m, seed)
+    same = finner_check([s] * 4, CYCLE4, p).details
+    distinct = finner_check(_distinct_slots(s, 4), CYCLE4, p).details
+    for key in ("refinement", "sup_rho", "classical"):
+        assert same[key] == pytest.approx(distinct[key], rel=1e-12, abs=0.0), key
+
+
+@given(
+    d=st.integers(1, 4),
+    m=st.integers(1, 6),
+    j_frac=st.floats(0.0, 1.0),
+    p=st.floats(0.5, 4.0),
+    seed=st.integers(0, 2**16),
+)
+def test_q_invariant_under_atom_splitting(d, m, j_frac, p, seed):
+    j = 1 + min(int(j_frac * d), d - 1)
+    s = random_surface(d, m, seed)
+    i = seed % m
+    atoms = s.atoms
+    w, v = atoms[i]
+    split = DiscreteHypersurface(d, atoms[:i] + [(w / 2, v), (w / 2, v)] + atoms[i + 1 :])
+    assert q_exact(split, j, p) == pytest.approx(q_exact(s, j, p), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "cover, m",
+    [(CYCLE4, 2), (CYCLE4, 3), (UniformCover(3, [(0, 1), (1, 2), (0, 2)], alphas=(0.5,) * 3), 2)],
+)
+def test_finner_fewer_atoms_than_slots(cover, m):
+    # no injective tuples: every tuple repeats an atom, so rho and Q vanish
+    s = random_surface(4, m, seed=3)
+    report = finner_check([s] * cover.j, cover, 1.5)
+    assert report.details["sup_rho"] == 0.0
+    assert report.details["refinement"] == 0.0
+    assert report.lhs == 0.0
 
 
 def test_i_p_frozen_values():

@@ -22,7 +22,7 @@ from transversal.zonotope import (
     zonotope_volume,
 )
 
-from oracles import cross3, mc_ball_plus_segment_volume, zonogon_area
+from oracles import cross3, mc_ball_plus_segment_volume, mixed_volume_oracle, zonogon_area
 
 
 def test_cube_volume():
@@ -97,6 +97,28 @@ def test_mixed_volume_zonotope_entry_doubles():
     seg = mixed_volume(Ball(2), 1, [g])
     zon = mixed_volume(Ball(2), 1, [Zonotope(2, g[None, :])])
     assert zon == pytest.approx(2.0 * seg, rel=1e-14)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("body_kind", ["ball", "zonotope"])
+def test_mixed_volume_matches_per_tuple_oracle(body_kind, k):
+    rng = np.random.default_rng(17 + k)
+    d = 4
+    g = rng.normal(size=d)
+    # entry 0 holds g and entry 1 holds 2g: that tuple has dependent
+    # directions, which the rank rule skips
+    entries = [
+        np.vstack([g, rng.normal(size=(3, d))]),
+        np.vstack([2.0 * g, rng.normal(size=(2, d))]),
+        rng.normal(size=d),
+        rng.normal(size=(2, d)),
+    ][:k]
+    body_gens = None if body_kind == "ball" else rng.normal(size=(6, d))
+    body = Ball(d) if body_gens is None else Zonotope(d, body_gens)
+    args = [Zonotope(d, e) if e.ndim == 2 else e for e in entries]
+    got = mixed_volume(body, d - k, args)
+    assert got > 0.0
+    assert got == pytest.approx(mixed_volume_oracle(d, entries, body_gens), rel=1e-12)
 
 
 def test_mixed_volume_k_equals_zero_is_volume():
