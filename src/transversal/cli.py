@@ -5,8 +5,6 @@ Subcommands: ``q`` (tuple quantity), ``rho`` (cover refinement factors),
 ``check <id>``, ``suite <config>``, ``gen <generator>``.
 
 Exit status: 0 success, 1 any check failure, 2 usage or configuration error.
-The environment variable ``TRANSVERSAL_WORKERS`` sets the default worker
-count; an explicit ``--workers`` flag wins.
 """
 
 from __future__ import annotations
@@ -72,7 +70,6 @@ def _surface_flags(sp, default_m=6):
     sp.add_argument("--signed", action="store_true", help="axis-cross: include negatives")
     sp.add_argument("--unit", action="store_true", help="random: unit directions")
     sp.add_argument("--probability", action="store_true", help="random: weights sum to 1")
-    sp.add_argument("--workers", type=int, default=None)
 
 
 def _parse_cover(cover_str, alphas_str, s_count, j):
@@ -91,10 +88,10 @@ def _cmd_q(args):
     s = _build_surface(args.surface, args)
     j = args.j if args.j is not None else s.d
     if args.mc:
-        est = q_montecarlo([s] * j, j, args.p, args.mc, args.seed, workers=args.workers)
+        est = q_montecarlo([s] * j, j, args.p, args.mc, args.seed)
         print(f"Q = {est.value:.10f} +/- {est.std_error:.3g} (mc, n={est.n_samples})")
     else:
-        value = q_exact([s] * j, j, args.p, budget=args.budget, workers=args.workers)
+        value = q_exact([s] * j, j, args.p, budget=args.budget)
         print(f"Q = {value:.10f}")
     print(f"tuples = {s.m ** j}")
     return 0
@@ -104,7 +101,7 @@ def _cmd_rho(args):
     s = _build_surface(args.surface, args)
     j = args.j if args.j is not None else s.d
     cover = _parse_cover(args.cover, args.alphas, None, j)
-    report = finner_check([s] * j, cover, args.p, budget=args.budget, workers=args.workers, seed=args.seed)
+    report = finner_check([s] * j, cover, args.p, budget=args.budget, seed=args.seed)
     det = report.details
     print(f"sup_rho = {det['sup_rho']:.10f}")
     print(f"refinement = {det['refinement']:.10f}")
@@ -172,8 +169,6 @@ def _check_params(args):
             params.setdefault(key, val)
     if args.p is not None:
         params.setdefault("p", args.p)
-    if args.workers is not None:
-        params.setdefault("workers", args.workers)
     return params
 
 
@@ -205,8 +200,6 @@ def _cmd_suite(args):
         raise ValueError(f"suite config {path!r} not found")
     if args.seed is not None:
         config["seed"] = args.seed
-    if args.workers is not None:
-        config["workers"] = args.workers
     if args.dump_config:
         with open(args.dump_config, "w", encoding="utf-8") as fh:
             json.dump(config, fh, indent=2, sort_keys=True)
@@ -295,7 +288,6 @@ def build_parser():
     sp.add_argument("--signed", action="store_true")
     sp.add_argument("--unit", action="store_true")
     sp.add_argument("--probability", action="store_true")
-    sp.add_argument("--workers", type=int, default=None)
     sp.add_argument("--params", default=None, help="JSON object of extra check parameters")
     sp.add_argument("--timings", action="store_true")
     sp.set_defaults(fn=_cmd_check)
@@ -305,7 +297,6 @@ def build_parser():
     sp.add_argument("--out", default=None, help="JSON report path")
     sp.add_argument("--csv", default=None, help="CSV report path")
     sp.add_argument("--seed", type=int, default=None, help="override config seed")
-    sp.add_argument("--workers", type=int, default=None, help="override config workers")
     sp.add_argument("--timings", action="store_true", help="record wall-clock runtimes")
     sp.add_argument("--dump-config", default=None, help="write the effective config here")
     sp.set_defaults(fn=_cmd_suite)
@@ -328,12 +319,6 @@ def build_parser():
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "workers", None) is None and "TRANSVERSAL_WORKERS" in os.environ:
-        try:
-            args.workers = int(os.environ["TRANSVERSAL_WORKERS"])
-        except ValueError:
-            print("TRANSVERSAL_WORKERS must be an integer", file=sys.stderr)
-            return 2
     try:
         return args.fn(args)
     except (ValueError, OSError, json.JSONDecodeError, np.linalg.LinAlgError) as exc:

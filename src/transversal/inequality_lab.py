@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -174,9 +173,7 @@ def _check_finner_rho(instance, params):
     else:
         cover = UniformCover.singletons(j)
     p = float(params.get("p", 1.0))
-    return finner_check(
-        surfaces, cover, p, workers=params.get("workers"), seed=int(params.get("seed", 0))
-    )
+    return finner_check(surfaces, cover, p, seed=int(params.get("seed", 0)))
 
 
 def _check_bezout(instance, params):
@@ -194,9 +191,7 @@ def _check_bezout(instance, params):
         cover = UniformCover(j, params["cover_sets"], s=int(params.get("s", 1)))
     else:
         cover = UniformCover(j, [(i,) for i in range(j)], s=1)
-    return bezout_check(
-        Ball(d), zonotopes, cover, workers=params.get("workers"), seed=int(params.get("seed", 0))
-    )
+    return bezout_check(Ball(d), zonotopes, cover, seed=int(params.get("seed", 0)))
 
 
 def _check_maximizer(instance, params):
@@ -262,7 +257,6 @@ def _check_santalo(instance, params):
         s,
         n_samples=int(params.get("n_samples", 200_000)),
         seed=int(params.get("seed", 0)),
-        workers=params.get("workers"),
     )
 
 
@@ -546,7 +540,7 @@ def _check_vis_p2_q(instance, params):
     identity_residual = abs(vis2 - identity_rhs)
     identity_ok = identity_residual <= 1e-9 * max(1.0, vis2)
 
-    q2 = q_exact(s, d, 2.0, workers=params.get("workers"))
+    q2 = q_exact(s, d, 2.0)
     # sandwich for Q^d against the axis product, at the eigenbasis (BL2 = 1)
     sets, dims = _random_partition(d, rng, params.get("dims"))
     prod_sigma2 = 1.0
@@ -630,9 +624,9 @@ def _check_vis_p_upper(instance, params):
     )
 
 
-def _q_inf_a_pieces(s, p, workers=None):
+def _q_inf_a_pieces(s, p):
     d = s.d
-    q = q_exact(s, d, p, workers=workers)
+    q = q_exact(s, d, p)
     res = lewis_solve(s, p)
     det_u = float(np.linalg.det(res.u))
     A0 = res.u / det_u ** (1.0 / d)
@@ -646,9 +640,7 @@ def _check_q_inf_a(instance, params):
     p = float(params.get("p", 2.0))
     s = _get_surface(instance, params, d=int(params.get("d", 3)), m=int(params.get("m", 6)))
     d = s.d
-    q, res, det_u, a0, upper_const, printed_const = _q_inf_a_pieces(
-        s, p, params.get("workers")
-    )
+    q, res, det_u, a0, upper_const, printed_const = _q_inf_a_pieces(s, p)
     lower_ok = verdict_leq(q, a0) == "pass"
     upper_ok = verdict_leq(a0, upper_const * q) == "pass"
     printed_ok = verdict_leq(a0, printed_const * q) == "pass"
@@ -692,9 +684,7 @@ def _check_vis_sandwich(instance, params):
     p = float(params.get("p", 1.5))
     s = _get_surface(instance, params, d=int(params.get("d", 3)), m=int(params.get("m", 6)))
     d = s.d
-    q, res, det_u, a0, upper_const, printed_const = _q_inf_a_pieces(
-        s, p, params.get("workers")
-    )
+    q, res, det_u, a0, upper_const, printed_const = _q_inf_a_pieces(s, p)
     vest = _vis_estimate(s, p, params)
     c0 = ConstantsCatalog.c0(d, p)
     c_dp = ConstantsCatalog.c_dp(d, p)
@@ -922,7 +912,6 @@ def default_suite_config(seed=1):
     """One entry per registry check (plus regime variants), desk scale."""
     return {
         "seed": int(seed),
-        "workers": 1,
         "checks": [
             {"id": "FINNER_RHO", "params": {"d": 3, "j": 3, "m": 4, "p": 2.0}},
             {"id": "FINNER_RHO", "params": {"d": 4, "j": 3, "m": 3, "p": 1.0}},
@@ -954,7 +943,7 @@ def default_suite_config(seed=1):
 def run_suite(config) -> SuiteResult:
     """Execute a suite configuration: generated plus user-supplied instances.
 
-    Config keys: ``seed`` (base seed), ``workers``, ``checks`` (list of
+    Config keys: ``seed`` (base seed), ``checks`` (list of
     ``{"id", "params", "repeat", "surface"}``), ``surfaces`` (paths run
     against every surface-accepting check entry).  Reports keep submission
     order; any ``fail`` verdict marks the suite as failed.
@@ -963,7 +952,6 @@ def run_suite(config) -> SuiteResult:
         raise ValueError("suite config must be a mapping")
     config = dict(config)
     base_seed = int(config.get("seed", 1))
-    workers = int(config.get("workers", 1))
     entries = config.get("checks")
     if entries is None:
         entries = default_suite_config(base_seed)["checks"]
@@ -971,11 +959,12 @@ def run_suite(config) -> SuiteResult:
 
     jobs = []
     for idx, entry in enumerate(entries):
+        if not isinstance(entry, dict) or "id" not in entry:
+            raise ValueError(f'suite config entry {idx} has no "id" key')
         check_id = entry["id"]
         if check_id not in _HANDLERS:
             raise ValueError(f"unknown check id in config: {check_id!r}")
         params = dict(entry.get("params", {}))
-        params.setdefault("workers", workers)
         repeat = int(entry.get("repeat", 1))
         surface = entry.get("surface")
         instance = load_surface(surface) if isinstance(surface, str) else surface
@@ -988,15 +977,7 @@ def run_suite(config) -> SuiteResult:
             run_params.setdefault("seed", base_seed + 1000 * idx + 999)
             jobs.append((check_id, s_extra, run_params))
 
-    def _run(job):
-        cid, inst, prm = job
-        return run_check(cid, inst, prm)
-
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            reports = list(ex.map(_run, jobs))
-    else:
-        reports = [_run(j) for j in jobs]
+    reports = [run_check(cid, inst, prm) for cid, inst, prm in jobs]
 
     counts = {"pass": 0, "fail": 0, "inconclusive": 0}
     failed = []
@@ -1013,7 +994,6 @@ def run_suite(config) -> SuiteResult:
     }
     clean_config = {
         "seed": base_seed,
-        "workers": workers,
         "checks": [
             {k: v for k, v in entry.items() if k in ("id", "params", "repeat", "surface")}
             for entry in entries

@@ -6,8 +6,9 @@ Q_j^p of surfaces S_1..S_j is the (jp)-th root of the j-fold sum
 
 Exact enumeration walks the tuple space in fixed-size chunks with batched
 Gram determinants (refined through singular values near rank deficiency);
-per-chunk partial sums are combined with math.fsum, so the result is
-independent of the worker count.
+the per-chunk partial sums are combined in order with math.fsum.  Block
+boundaries depend only on the sizes and the route, so results are
+deterministic.
 
 A tuple that repeats an atom has two equal rows, so its Gram determinant is
 refined through singular values and the rank floor makes it exactly 0.  When
@@ -30,8 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,20 +39,10 @@ from .geom_core import DEGENERATE_DET, WEDGE_REFINE_REL, unit_directions
 from .hypersurface import DiscreteHypersurface, UniformCover, validate_cover
 from .reports import make_report, verdict_leq
 
-#: fixed enumeration chunk (worker-count invariant)
+#: fixed enumeration chunk (block boundaries, hence results, do not vary)
 CHUNK = 1 << 17
 #: default cap on the exact tuple-space size
 DEFAULT_BUDGET = 10_000_000
-
-
-def resolve_workers(workers=None):
-    """Worker count: explicit argument, else TRANSVERSAL_WORKERS, else 1."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("TRANSVERSAL_WORKERS")
-    if env:
-        return max(1, int(env))
-    return 1
 
 
 def _as_surface_list(surfaces, j=None):
@@ -144,26 +133,14 @@ def _batched_gram_dets(V):
     return det
 
 
-def _map_blocks(fn, blocks, workers):
-    """[fn(*block) for block in blocks] with at most ``workers`` blocks in
-    flight, so memory stays at one block per worker; results keep block order."""
-    if workers <= 1:
-        return [fn(*b) for b in blocks]
-    out = []
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        while wave := list(itertools.islice(blocks, workers)):
-            out.extend(ex.map(lambda b: fn(*b), wave))
-    return out
-
-
-def _q_sum(surfaces, p, workers):
+def _q_sum(surfaces, p):
     """Raw j-fold sum (Q_j^p to the power jp), exact enumeration."""
 
     def chunk_sum(W, V, mult):
         dets = _batched_gram_dets(V)
         return mult * float(np.sum(W * dets ** (p / 2.0)))
 
-    return math.fsum(_map_blocks(chunk_sum, _tuple_blocks(surfaces), workers))
+    return math.fsum(chunk_sum(*b) for b in _tuple_blocks(surfaces))
 
 
 def _check_budget(surfaces, budget):
@@ -175,7 +152,7 @@ def _check_budget(surfaces, budget):
     return total
 
 
-def q_exact(surfaces, j, p, *, budget=DEFAULT_BUDGET, workers=None) -> float:
+def q_exact(surfaces, j, p, *, budget=DEFAULT_BUDGET) -> float:
     """Exact Q_j^p by tuple enumeration (j-subsets when a single surface
     fills every slot, all ordered tuples otherwise).
 
@@ -190,8 +167,6 @@ def q_exact(surfaces, j, p, *, budget=DEFAULT_BUDGET, workers=None) -> float:
     budget : int
         Maximum admissible ordered tuple-space size prod_k m_k, whichever
         route does the work.
-    workers : int, optional
-        Thread count; result is independent of it.
     """
     j = int(j)
     if j < 1:
@@ -202,7 +177,7 @@ def q_exact(surfaces, j, p, *, budget=DEFAULT_BUDGET, workers=None) -> float:
     if j > surfaces[0].d:
         raise ValueError(f"j={j} exceeds dimension d={surfaces[0].d}")
     _check_budget(surfaces, budget)
-    total = _q_sum(surfaces, p, resolve_workers(workers))
+    total = _q_sum(surfaces, p)
     return total ** (1.0 / (j * p))
 
 
@@ -215,7 +190,7 @@ class QEstimate:
     p: float
 
 
-def q_montecarlo(surfaces, j, p, n_samples, seed, *, workers=None) -> QEstimate:
+def q_montecarlo(surfaces, j, p, n_samples, seed) -> QEstimate:
     """Importance-sampled Q_j^p.
 
     Tuples are drawn atom-by-atom proportionally to the weights, which makes
@@ -249,7 +224,7 @@ def q_montecarlo(surfaces, j, p, n_samples, seed, *, workers=None) -> QEstimate:
     return QEstimate(value, val_se, n_samples, j, p)
 
 
-def finner_check(surfaces, cover, p, *, budget=DEFAULT_BUDGET, workers=None, seed=0):
+def finner_check(surfaces, cover, p, *, budget=DEFAULT_BUDGET, seed=0):
     """Factorization chain for Q_j^p under a weighted uniform cover.
 
     Checks, with Q = Q_j^p of the input tuple and Q_i the per-block
@@ -283,15 +258,14 @@ def finner_check(surfaces, cover, p, *, budget=DEFAULT_BUDGET, workers=None, see
     if j > d:
         raise ValueError(f"j={j} exceeds dimension d={d}")
     _check_budget(surfaces, budget)
-    workers = resolve_workers(workers)
 
-    lhs = _q_sum(surfaces, p, workers) ** (1.0 / (j * p))
+    lhs = _q_sum(surfaces, p) ** (1.0 / (j * p))
 
     block_Q = []
     block_raw = []
     for A in cover.sets:
         subs = [surfaces[l] for l in A]
-        raw = _q_sum(subs, p, workers)
+        raw = _q_sum(subs, p)
         block_raw.append(raw)
         block_Q.append(raw ** (1.0 / (len(A) * p)))
     classical = 1.0
@@ -335,8 +309,7 @@ def finner_check(surfaces, cover, p, *, budget=DEFAULT_BUDGET, workers=None, see
     else:
         # rho is not slot-symmetric, but it vanishes on repeated atoms, so
         # one surface in every slot takes the injective route
-        blocks = _tuple_blocks(surfaces, symmetric=False)
-        stats = _map_blocks(chunk_stats, blocks, workers)
+        stats = [chunk_stats(*b) for b in _tuple_blocks(surfaces, symmetric=False)]
         refinement = math.fsum(s[0] for s in stats) ** (1.0 / (j * p))
         # no injective tuples (m < j): every tuple repeats an atom, rho = 0
         sup_rho = max((s[1] for s in stats), default=0.0)

@@ -23,7 +23,7 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection
 from .constants import ball_volume
 from .hypersurface import DiscreteHypersurface
 from .reports import make_report
-from .transversality import _q_sum, q_exact, resolve_workers
+from .transversality import _q_sum, q_exact
 from .zonotope import Zonotope, _check_frame, projection_body
 
 #: exact polar-volume route is enabled only for small zonotopes
@@ -203,7 +203,7 @@ def _distinct_directions(s, tol=1e-10):
     return np.array(dirs)
 
 
-def santalo_check(s: DiscreteHypersurface, *, n_samples=1_000_000, seed=0, workers=None):
+def santalo_check(s: DiscreteHypersurface, *, n_samples=1_000_000, seed=0):
     """Volume-product bound (2 vis_1)^d <= Q_d^1(s)^d.
 
     Exact on small instances, Monte Carlo otherwise (verdict allows a 3-sigma
@@ -212,7 +212,7 @@ def santalo_check(s: DiscreteHypersurface, *, n_samples=1_000_000, seed=0, worke
     that case and its gap.
     """
     d = s.d
-    rhs = q_exact(s, d, 1.0, workers=workers) ** d
+    rhs = q_exact(s, d, 1.0) ** d
     vest = vis_p(s, 1.0, "auto", n_samples=n_samples, seed=seed)
     lhs = (2.0 * vest.value) ** d
     vol = vest.volume
@@ -252,10 +252,10 @@ def sigma2_plane(s: DiscreteHypersurface, frame) -> float:
     return math.sqrt(math.factorial(k) * det)
 
 
-def sigma2_plane_direct(s: DiscreteHypersurface, frame, *, workers=None) -> float:
+def sigma2_plane_direct(s: DiscreteHypersurface, frame) -> float:
     """Same functional by direct enumeration:
     sqrt( sum over ordered k-tuples prod w * |P_E v_1 ^ ... ^ P_E v_k|^2 )."""
     F = _check_frame(frame, s.d)
     k = F.shape[0]
     projected = DiscreteHypersurface(k, zip(s.weights, s.vectors @ F.T), label="projected")
-    return math.sqrt(_q_sum([projected] * k, 2.0, resolve_workers(workers)))
+    return math.sqrt(_q_sum([projected] * k, 2.0))

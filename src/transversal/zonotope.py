@@ -13,10 +13,10 @@ import math
 
 import numpy as np
 
-from .constants import ball_volume
+from .constants import ConstantsCatalog, ball_volume
 from .hypersurface import DiscreteHypersurface, UniformCover, validate_cover
 from .reports import make_report, verdict_leq
-from .transversality import _index_blocks, _q_sum, resolve_workers
+from .transversality import _index_blocks, _q_sum
 
 #: tolerance for rank decisions on generator subsets
 RANK_TOL = 1e-10
@@ -126,7 +126,7 @@ def sigma_plane(s: DiscreteHypersurface, frame) -> float:
     return math.factorial(k) / (2.0**k) * vol
 
 
-def sigma_plane_direct(s: DiscreteHypersurface, frame, *, workers=None) -> float:
+def sigma_plane_direct(s: DiscreteHypersurface, frame) -> float:
     """Same functional by direct k-fold tuple enumeration:
 
         sum over ordered k-tuples  prod w  *  |P_E v_1 ^ ... ^ P_E v_k|.
@@ -138,7 +138,7 @@ def sigma_plane_direct(s: DiscreteHypersurface, frame, *, workers=None) -> float
     projected = DiscreteHypersurface(
         k, zip(s.weights, s.vectors @ F.T), label=f"{s.label}|projected"
     )
-    return _q_sum([projected] * k, 1.0, resolve_workers(workers))
+    return _q_sum([projected] * k, 1.0)
 
 
 def _normal_frame(W):
@@ -216,16 +216,7 @@ def mixed_volume(body, multiplicity, entries, *, budget=SUBSET_BUDGET) -> float:
     return (2.0**doubles) * math.fsum(partial) / (math.factorial(k) * math.comb(d, k))
 
 
-def _q_from_generators(gen_list, j, p, workers):
-    """Q_j^p of the surfaces carrying the given generator lists (gauge: w=1)."""
-    d = gen_list[0].shape[1]
-    surfaces = [
-        DiscreteHypersurface(d, [(1.0, g) for g in G], label="generators") for G in gen_list
-    ]
-    return _q_sum(surfaces, p, workers) ** (1.0 / (j * p))
-
-
-def bezout_check(body, zonotopes, cover, *, budget=SUBSET_BUDGET, workers=None, seed=0):
+def bezout_check(body, zonotopes, cover, *, budget=SUBSET_BUDGET, seed=0):
     """Bezout-type mixed-volume bound under an s-uniform counting cover.
 
     With sigma = {0..j-1} indexing the zonotopes, r cover sets A_i of sizes
@@ -237,7 +228,12 @@ def bezout_check(body, zonotopes, cover, *, budget=SUBSET_BUDGET, workers=None, 
         const = prod_i C(d-d_i, d-j) * C(d, d_i) / C(d, j)^r.
 
     When the body is a Ball the report also carries the equivalent
-    transversality form Q_j^1 <= q * prod_i Q_{d_i}^1(...)^(d_i/(s j)) with
+    transversality form Q_j^1 <= q * prod_i Q_{d_i}^1(...)^(d_i/(s j)) of the
+    generators (weight 1 each), read off the mixed volumes already computed,
+
+        V(B[d-k], Z_1..Z_k) = 2^k omega_{d-k} Q_k^1^k / (k! C(d, k)),
+
+    with the constant ConstantsCatalog.q_bezout:
 
         q = omega_d^(-r/(sj)) * (d! omega_d / ((d-j)! omega_{d-j}))^(1/j)
             * prod_i (C(j, d_i) omega_{d-d_i} / (C(d, d_i) d_i!))^(1/(sj)).
@@ -287,20 +283,17 @@ def bezout_check(body, zonotopes, cover, *, budget=SUBSET_BUDGET, workers=None, 
         "relation": "leq",
     }
     if isinstance(body, Ball):
-        workers = resolve_workers(workers)
-        gen_list = [z.generators for z in zonotopes]
-        q_lhs = _q_from_generators(gen_list, j, 1.0, workers)
-        q_const = ball_volume(d) ** (-r / (s * j))
-        q_const *= (
-            math.factorial(d) * ball_volume(d) / (math.factorial(d - j) * ball_volume(d - j))
-        ) ** (1.0 / j)
+
+        def q_of(v, k):
+            """Q_k^1 of the generators behind the mixed volume v."""
+            scale = math.factorial(k) * math.comb(d, k) / (2.0**k * ball_volume(d - k))
+            return (v * scale) ** (1.0 / k)
+
+        q_lhs = q_of(v_full, j)
+        q_const = ConstantsCatalog.q_bezout(d, j, sizes, s)
         q_blocks = 1.0
-        for A, d_i in zip(cover.sets, sizes):
-            q_const *= (
-                math.comb(j, d_i) * ball_volume(d - d_i) / (math.comb(d, d_i) * math.factorial(d_i))
-            ) ** (1.0 / (s * j))
-            q_block = _q_from_generators([gen_list[l] for l in A], d_i, 1.0, workers)
-            q_blocks *= q_block ** (d_i / (s * j))
+        for v_i, d_i in zip(block_mixed, sizes):
+            q_blocks *= q_of(v_i, d_i) ** (d_i / (s * j))
         q_rhs = q_const * q_blocks
         details["q_form"] = {
             "lhs": q_lhs,

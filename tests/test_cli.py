@@ -176,18 +176,9 @@ def test_suite_failure_exit_code(tmp_path, capsys):
     assert "failed checks: AFFINE_LW" in err
 
 
-def test_workers_env_variable(capsys, monkeypatch):
-    monkeypatch.setenv("TRANSVERSAL_WORKERS", "3")
-    code, out_env, _ = run(capsys, "q", "--surface", "axis-cross", "--d", "2", "--j", "2", "--p", "1")
-    assert code == 0
-    monkeypatch.delenv("TRANSVERSAL_WORKERS")
-    code, out_default, _ = run(capsys, "q", "--surface", "axis-cross", "--d", "2", "--j", "2", "--p", "1")
-    assert code == 0
-    assert out_env == out_default  # worker count never changes values
-
-
-def test_workers_env_must_be_integer(capsys, monkeypatch):
-    monkeypatch.setenv("TRANSVERSAL_WORKERS", "many")
-    code, _, err = run(capsys, "q", "--surface", "axis-cross", "--d", "2")
+def test_suite_entry_without_id_exits_two(capsys, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 1, "checks": [{"check_id": "AFFINE_LW"}]}))
+    code, _, err = run(capsys, "suite", str(cfg_path))
     assert code == 2
-    assert "TRANSVERSAL_WORKERS" in err
+    assert "entry 0" in err and '"id"' in err

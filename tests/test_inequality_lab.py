@@ -157,6 +157,14 @@ def test_suite_empty_check_list_succeeds():
 def test_suite_rejects_unknown_id():
     with pytest.raises(ValueError):
         run_suite({"checks": [{"id": "NOPE"}]})
+    with pytest.raises(ValueError, match="entry 1"):
+        run_suite({"checks": [{"id": "AFFINE_LW"}, {"check_id": "AFFINE_LW"}]})
+
+
+def test_suite_ignores_legacy_workers_key():
+    checks = [{"id": "AFFINE_LW"}]
+    legacy = run_suite({"seed": 2, "workers": 4, "checks": checks})
+    assert legacy.to_dict() == run_suite({"seed": 2, "checks": checks}).to_dict()
 
 
 def test_suite_repeat_and_user_surfaces(tmp_path):
@@ -181,19 +189,6 @@ def test_suite_json_reports_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     data = json.loads(p1.read_text())
     assert all(r["runtime_ms"] == 0.0 for r in data["reports"])
-
-
-def test_suite_worker_count_does_not_change_reports():
-    cfg1 = {"seed": 3, "workers": 1, "checks": default_suite_config(3)["checks"][:6]}
-    cfg2 = {"seed": 3, "workers": 4, "checks": default_suite_config(3)["checks"][:6]}
-    r1 = run_suite(cfg1)
-    r2 = run_suite(cfg2)
-    d1 = [r.to_dict() for r in r1.reports]
-    d2 = [r.to_dict() for r in r2.reports]
-    for a, b in zip(d1, d2):
-        a["details"].pop("workers", None)
-        b["details"].pop("workers", None)
-    assert d1 == d2
 
 
 def test_csv_projection(tmp_path):

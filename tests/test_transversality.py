@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from transversal import transversality
 from transversal.hypersurface import (
     DiscreteHypersurface,
     UniformCover,
@@ -21,9 +22,9 @@ from transversal.transversality import (
     moment_norm_sq,
     q_exact,
     q_montecarlo,
-    resolve_workers,
     uniform_moment_norm_sq,
 )
+from transversal.zonotope import Ball, Zonotope, mixed_volume, projection_body, zonotope_volume
 
 from oracles import i_p_uniform_quadrature, uniform_moment_quadrature, wedge_norm_oracle
 
@@ -54,13 +55,6 @@ def test_q_exact_single_vector_slot():
     assert q_exact(s, 1, 2.5) == pytest.approx(expected, rel=1e-12)
 
 
-def test_q_exact_worker_invariance():
-    s = random_surface(4, 6, seed=8)
-    a = q_exact(s, 3, 1.3, workers=1)
-    b = q_exact(s, 3, 1.3, workers=4)
-    assert a == b  # bitwise: fixed chunking, fsum combine
-
-
 def test_q_exact_validation():
     s = random_surface(3, 4, seed=0)
     with pytest.raises(ValueError):
@@ -86,15 +80,6 @@ def test_q_montecarlo_seed_determinism():
     a = q_montecarlo(s, 2, 1.0, 5_000, seed=3)
     b = q_montecarlo(s, 2, 1.0, 5_000, seed=3)
     assert a == b
-
-
-def test_resolve_workers_env(monkeypatch):
-    monkeypatch.delenv("TRANSVERSAL_WORKERS", raising=False)
-    assert resolve_workers(None) == 1
-    assert resolve_workers(3) == 3
-    monkeypatch.setenv("TRANSVERSAL_WORKERS", "5")
-    assert resolve_workers(None) == 5
-    assert resolve_workers(2) == 2
 
 
 def test_finner_identity_and_chain():
@@ -156,6 +141,30 @@ def test_finner_injective_route_matches_product_route(m, p, seed):
     distinct = finner_check(_distinct_slots(s, 4), CYCLE4, p).details
     for key in ("refinement", "sup_rho", "classical"):
         assert same[key] == pytest.approx(distinct[key], rel=1e-12, abs=0.0), key
+
+
+def test_multi_block_enumeration_matches_one_block(monkeypatch):
+    s = random_surface(3, 6, seed=8)
+    triangle = UniformCover(3, [(0, 1), (1, 2), (0, 2)], alphas=(0.5,) * 3)
+    rng = np.random.default_rng(9)
+    zs = [Zonotope(3, rng.normal(size=(n, 3))) for n in (4, 5)]
+    Z = projection_body(random_surface(3, 8, seed=3))
+
+    def values():
+        return {
+            "q_subset": q_exact(s, 3, 1.3),
+            "q_product": q_exact(_distinct_slots(s, 3), 3, 1.3),
+            "refinement": finner_check([s] * 3, triangle, 1.5).details["refinement"],
+            "zonotope_volume": zonotope_volume(Z),
+            "mixed_volume": mixed_volume(Ball(3), 1, zs),
+        }
+
+    one_block = values()
+    monkeypatch.setattr(transversality, "CHUNK", 7)
+    assert len(list(transversality._index_blocks([6] * 3, "subset"))) == 3  # C(6,3) = 20
+    many_blocks = values()
+    for key, value in one_block.items():
+        assert many_blocks[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
 
 
 @given(

@@ -10,6 +10,7 @@ from transversal.hypersurface import (
     make_axis_cross,
     random_surface,
 )
+from transversal.transversality import q_exact
 from transversal.zonotope import (
     Ball,
     Zonotope,
@@ -164,6 +165,9 @@ def test_bezout_random_instances_pass():
         assert report.lhs <= report.rhs * (1 + 1e-9)
         q_form = report.details["q_form"]
         assert q_form["holds"]
+        # the derived Q against an independent tuple enumeration
+        gens = [DiscreteHypersurface(3, [(1.0, g) for g in z.generators]) for z in zs]
+        assert q_form["lhs"] == pytest.approx(q_exact(gens, 2, 1.0), rel=1e-12)
 
 
 def test_bezout_overlapping_counting_cover():
