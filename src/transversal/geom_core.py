@@ -5,6 +5,10 @@ span, computed as sqrt(det Gram).  The cover factor rho compares the full Gram
 determinant of the normalized directions against the weighted product of its
 principal blocks; it lies in [0, 1] by a determinant majorization argument and
 equals 1 exactly when the blocks are mutually orthogonal.
+
+gram_dets and cover_factors are the batched kernels behind every wedge norm
+and cover factor in the package: the tuple sums, finner_check and the mixed
+volumes call them on stacks of tuples, wedge_norm and rho_factor on one.
 """
 
 from __future__ import annotations
@@ -24,16 +28,47 @@ DEGENERATE_DET = 1e-14
 WEDGE_REFINE_REL = 1e-8
 
 
-def _sv_gram_det(V):
-    """Gram determinant via singular values with a rank floor.
+def gram_dets(V):
+    """det(V V^T) for each tuple of a stack V of shape (n, j, d).
 
-    Singular values below max(j, d) * eps * sigma_max are zeroed, so tuples
-    with repeated or linearly dependent rows give an exact 0 instead of
-    round-off noise; other near-degenerate values keep full absolute accuracy.
+    LU determinants more than WEDGE_REFINE_REL below the Hadamard bound (the
+    product of squared row norms) are recomputed from singular values, with
+    those below max(j, d) * eps * sigma_max zeroed: tuples with repeated or
+    linearly dependent rows give an exact 0 instead of round-off noise, and
+    other near-degenerate values keep full absolute accuracy.
     """
-    sv = np.linalg.svd(V, compute_uv=False)
-    floor = sv[0] * max(V.shape) * np.finfo(float).eps
-    return float(np.prod(np.where(sv > floor, sv, 0.0))) ** 2
+    G = V @ np.transpose(V, (0, 2, 1))
+    det = np.clip(np.linalg.det(G), 0.0, None)
+    hadamard = np.prod(np.einsum("nkk->nk", G), axis=1)
+    suspect = det < WEDGE_REFINE_REL * hadamard
+    if np.any(suspect):
+        sv = np.linalg.svd(V[suspect], compute_uv=False)
+        floor = sv[:, :1] * (max(V.shape[1], V.shape[2]) * np.finfo(float).eps)
+        det[suspect] = np.prod(np.where(sv > floor, sv, 0.0), axis=1) ** 2
+    return det
+
+
+def cover_factors(V, sets, alphas):
+    """Cover factors rho and degeneracy flags for a stack V of shape (n, j, d).
+
+    rho = sqrt(det C) / prod_i det(C_{A_i})^{alpha_i / 2}, where C is the Gram
+    matrix of the normalized directions and C_{A_i} its principal blocks.  A
+    tuple with a block determinant below DEGENERATE_DET is degenerate: its
+    flag is True and its rho is 0.
+    """
+    U = unit_directions(V)
+    C = U @ np.transpose(U, (0, 2, 1))
+    n = C.shape[0]
+    det_full = gram_dets(U)
+    log_den = np.zeros(n)
+    degenerate = np.zeros(n, dtype=bool)
+    for A, a in zip(sets, alphas):
+        sub = np.clip(np.linalg.det(C[np.ix_(range(n), A, A)]), 0.0, None)
+        degenerate |= sub < DEGENERATE_DET
+        with np.errstate(divide="ignore"):
+            log_den += np.where(sub > 0, 0.5 * a * np.log(sub), 0.0)
+    rho = np.where(degenerate, 0.0, np.minimum(np.sqrt(det_full) * np.exp(-log_den), 1.0))
+    return rho, degenerate
 
 
 @dataclass(frozen=True)
@@ -87,24 +122,20 @@ class GramMatrix:
 
 
 def unit_directions(vectors):
-    """Rows normalized to unit length; exact zero rows fall back to e_1."""
+    """Rows (last axis) normalized to unit length; exact zero rows fall back
+    to e_1."""
     V = np.asarray(vectors, dtype=float)
-    norms = np.linalg.norm(V, axis=1)
-    U = np.empty_like(V)
-    for i, n in enumerate(norms):
-        if n == 0.0:
-            U[i] = 0.0
-            U[i, 0] = 1.0
-        else:
-            U[i] = V[i] / n
+    norms = np.linalg.norm(V, axis=-1, keepdims=True)
+    U = V / np.where(norms == 0.0, 1.0, norms)
+    U[norms[..., 0] == 0.0] = np.eye(V.shape[-1])[0]
     return U
 
 
 def wedge_norm(t) -> float:
     """j-volume |v_1 ^ ... ^ v_j| = sqrt(det Gram(v_1..v_j)).
 
-    Accepts a VectorTuple or a (j, d) array.  Tiny negative determinants from
-    round-off are clamped to zero.
+    Accepts a VectorTuple or a (j, d) array; the determinant comes from
+    gram_dets.
     """
     V = t.vectors if isinstance(t, VectorTuple) else np.asarray(t, dtype=float)
     if V.ndim != 2:
@@ -112,11 +143,7 @@ def wedge_norm(t) -> float:
     j, d = V.shape
     if j > d:
         raise ValueError(f"cannot wedge {j} vectors in R^{d}")
-    G = V @ V.T
-    det = float(np.linalg.det(G))
-    if det < WEDGE_REFINE_REL * float(np.prod(np.diag(G))):
-        det = _sv_gram_det(V)
-    return np.sqrt(max(det, 0.0))
+    return np.sqrt(gram_dets(V[None])[0])
 
 
 def _cover_for(t, cover):
@@ -143,25 +170,8 @@ def rho_factor(t, cover, *, with_flag=False):
     """
     cover = _cover_for(t, cover)
     V = t.vectors if isinstance(t, VectorTuple) else np.asarray(t, dtype=float)
-    U = unit_directions(V)
-    C = U @ U.T
-    det_full = float(np.linalg.det(C))
-    if det_full < WEDGE_REFINE_REL:  # the Hadamard bound of a unit-diagonal Gram is 1
-        det_full = _sv_gram_det(U)
-    det_full = max(det_full, 0.0)
-    denom_log = 0.0
-    degenerate = False
-    for A, a in zip(cover.sets, cover.alphas):
-        sub = C[np.ix_(A, A)]
-        det_sub = float(np.linalg.det(sub))
-        if det_sub < DEGENERATE_DET:
-            degenerate = True
-            break
-        denom_log += 0.5 * a * np.log(det_sub)
-    if degenerate:
-        rho = 0.0
-    else:
-        rho = min(np.sqrt(det_full) / np.exp(denom_log), 1.0)
+    rho, degenerate = cover_factors(V[None], cover.sets, cover.alphas)
+    rho, degenerate = float(rho[0]), bool(degenerate[0])
     return (rho, degenerate) if with_flag else rho
 
 

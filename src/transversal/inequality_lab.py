@@ -41,6 +41,7 @@ from .zonotope import (
     Ball,
     Zonotope,
     bezout_check,
+    project_zonotope,
     projection_body,
     sigma_plane,
     zonotope_volume,
@@ -150,7 +151,6 @@ def _vis_estimate(s, p, params):
 
 
 def _check_finner_rho(instance, params):
-    rng = _rng(params)
     d = int(params.get("d", 3))
     j = int(params.get("j", min(3, d)))
     if isinstance(instance, (list, tuple)):
@@ -244,8 +244,7 @@ def _check_maximizer(instance, params):
         if report.verdict == "pass" and cross_value - uniform <= 1e-12:
             report.verdict = "fail"
     if p >= 2.0:
-        unit_mu = mu
-        report.details["jp_bound"] = jp_bound_check(unit_mu, p).to_dict()
+        report.details["jp_bound"] = jp_bound_check(mu, p).to_dict()
     return report
 
 
@@ -275,10 +274,7 @@ def _check_affine_lw(instance, params):
     rhs = bl2
     shadows = []
     for A, p_i in zip(sets, weights):
-        F = _orthonormal_span(W[list(A)])
-        shadow = zonotope_volume(
-            Zonotope(F.shape[0], Z.generators @ F.T)
-        )
+        shadow = zonotope_volume(project_zonotope(Z, _orthonormal_span(W[list(A)])))
         shadows.append(shadow)
         rhs *= shadow**p_i
     return make_report(
@@ -401,8 +397,7 @@ def _check_reverse_lw_zonoid(instance, params):
     lhs = 1.0
     shadows = []
     for A in sets:
-        F = frame[list(A)]
-        shadow = zonotope_volume(Zonotope(F.shape[0], Z.generators @ F.T))
+        shadow = zonotope_volume(project_zonotope(Z, frame[list(A)]))
         shadows.append(shadow)
         lhs *= shadow
     constant = ConstantsCatalog.reverse_lw(d, dims)

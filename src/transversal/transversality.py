@@ -5,10 +5,10 @@ Q_j^p of surfaces S_1..S_j is the (jp)-th root of the j-fold sum
     sum over tuples  prod_k w_k  *  |v_1 ^ ... ^ v_j|^p.
 
 Exact enumeration walks the tuple space in fixed-size chunks with batched
-Gram determinants (refined through singular values near rank deficiency);
-the per-chunk partial sums are combined in order with math.fsum.  Block
-boundaries depend only on the sizes and the route, so results are
-deterministic.
+Gram determinants (geom_core.gram_dets, refined through singular values near
+rank deficiency); the per-chunk partial sums are combined in order with
+math.fsum.  Block boundaries depend only on the sizes and the route, so
+results are deterministic.
 
 A tuple that repeats an atom has two equal rows, so its Gram determinant is
 refined through singular values and the rank floor makes it exactly 0.  When
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom_core import DEGENERATE_DET, WEDGE_REFINE_REL, unit_directions
+from .geom_core import cover_factors, gram_dets
 from .hypersurface import DiscreteHypersurface, UniformCover, validate_cover
 from .reports import make_report, verdict_leq
 
@@ -109,35 +109,11 @@ def _tuple_blocks(surfaces, *, symmetric=True):
         yield W, V, mult
 
 
-def _sv_gram_dets(V):
-    """Batched Gram determinants via singular values with a rank floor, so
-    rank-deficient tuples (e.g. a repeated atom) give an exact 0."""
-    sv = np.linalg.svd(V, compute_uv=False)
-    floor = sv[:, :1] * (max(V.shape[1], V.shape[2]) * np.finfo(float).eps)
-    return np.prod(np.where(sv > floor, sv, 0.0), axis=1) ** 2
-
-
-def _batched_gram_dets(V):
-    """det(V V^T) per stacked tuple.
-
-    LU determinants far below the Hadamard bound have lost half their digits
-    to cancellation, which the square root in the wedge norm doubles; those
-    entries are recomputed from singular values.
-    """
-    G = V @ np.transpose(V, (0, 2, 1))
-    det = np.clip(np.linalg.det(G), 0.0, None)
-    hadamard = np.prod(np.einsum("nkk->nk", G), axis=1)
-    suspect = det < WEDGE_REFINE_REL * hadamard
-    if np.any(suspect):
-        det[suspect] = _sv_gram_dets(V[suspect])
-    return det
-
-
 def _q_sum(surfaces, p):
     """Raw j-fold sum (Q_j^p to the power jp), exact enumeration."""
 
     def chunk_sum(W, V, mult):
-        dets = _batched_gram_dets(V)
+        dets = gram_dets(V)
         return mult * float(np.sum(W * dets ** (p / 2.0)))
 
     return math.fsum(chunk_sum(*b) for b in _tuple_blocks(surfaces))
@@ -214,7 +190,7 @@ def q_montecarlo(surfaces, j, p, n_samples, seed) -> QEstimate:
     for k, s in enumerate(surfaces):
         ids = rng.choice(s.m, size=n_samples, p=s.weights / mass[k])
         V[:, k, :] = s.vectors[ids]
-    f = scale * _batched_gram_dets(V) ** (p / 2.0)
+    f = scale * gram_dets(V) ** (p / 2.0)
     mean = float(np.mean(f))
     se = float(np.std(f, ddof=1) / math.sqrt(n_samples))
     if mean <= 0.0:
@@ -278,30 +254,11 @@ def finner_check(surfaces, cover, p, *, budget=DEFAULT_BUDGET, seed=0):
     degenerate_blocks = bool(np.any(raw_arr == 0.0))
 
     def chunk_stats(W, V, mult):
-        n = len(W)
-        U = V / np.where(
-            (norms := np.linalg.norm(V, axis=2))[:, :, None] == 0.0, 1.0, norms[:, :, None]
-        )
-        fallback = norms == 0.0
-        if np.any(fallback):
-            U[fallback] = 0.0
-            U[fallback, 0] = 1.0
-        C = U @ np.transpose(U, (0, 2, 1))
-        det_full = np.clip(np.linalg.det(C), 0.0, None)
-        suspect = det_full < WEDGE_REFINE_REL  # unit diagonal: Hadamard bound 1
-        if np.any(suspect):
-            det_full[suspect] = _sv_gram_dets(U[suspect])
-        rho_den_log = np.zeros(n)
-        degenerate = np.zeros(n, dtype=bool)
-        ratio = np.ones(n)
+        rho, _ = cover_factors(V, sets, alphas)
+        ratio = np.ones(len(W))
         for A, a, raw in zip(sets, alphas, raw_arr):
-            sub_c = np.clip(np.linalg.det(C[np.ix_(range(n), A, A)]), 0.0, None)
-            degenerate |= sub_c < DEGENERATE_DET
-            with np.errstate(divide="ignore"):
-                rho_den_log += np.where(sub_c > 0, 0.5 * a * np.log(sub_c), 0.0)
-            F = _batched_gram_dets(V[:, A, :]) ** (p / 2.0)
+            F = gram_dets(V[:, A, :]) ** (p / 2.0)
             ratio *= (F / raw) ** a if raw > 0 else 0.0
-        rho = np.where(degenerate, 0.0, np.minimum(np.sqrt(det_full) * np.exp(-rho_den_log), 1.0))
         return mult * float(np.sum(W * ratio * rho**p)), float(np.max(rho))
 
     if degenerate_blocks:

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .constants import ConstantsCatalog, ball_volume
+from .geom_core import gram_dets
 from .hypersurface import DiscreteHypersurface, UniformCover, validate_cover
 from .reports import make_report, verdict_leq
 from .transversality import _index_blocks, _q_sum
@@ -169,7 +170,9 @@ def mixed_volume(body, multiplicity, entries, *, budget=SUBSET_BUDGET) -> float:
         |w_1 ^ ... ^ w_k| * |P_{W^perp} body| / (k! * C(d, k)),
 
     and tuples with dependent directions contribute 0.  Tuples are taken in
-    chunks with batched Gram determinants; a Ball's shadow is the constant
+    chunks with batched Gram determinants (geom_core.gram_dets, whose rank
+    floor makes an exactly dependent tuple's determinant 0, not round-off
+    that the RANK_TOL rule could keep); a Ball's shadow is the constant
     omega_{d-k}, and only a Zonotope body computes a shadow per surviving
     tuple.
     """
@@ -198,9 +201,8 @@ def mixed_volume(body, multiplicity, entries, *, budget=SUBSET_BUDGET) -> float:
     partial = []
     for idx in _index_blocks(sizes):
         V = np.stack([G[idx[:, i]] for i, G in enumerate(gens)], axis=1)
-        gram = V @ np.transpose(V, (0, 2, 1))
-        det = np.clip(np.linalg.det(gram), 0.0, None)
-        scale = np.prod(np.clip(np.einsum("nkk->nk", gram), 1.0, None), axis=1)
+        det = gram_dets(V)
+        scale = np.prod(np.clip(np.einsum("nkd,nkd->nk", V, V), 1.0, None), axis=1)
         keep = det > (RANK_TOL**2) * scale
         wedge = np.sqrt(det[keep])
         if k == d:

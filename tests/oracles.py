@@ -1,7 +1,8 @@
 """Independent reference computations used to pin expected test values.
 
 Nothing here imports from the package's numerical core beyond plain numpy
-arrays; determinants use cofactor expansion, sphere integrals use 1-D
+arrays; determinants (and so wedge norms and cover factors) use cofactor
+expansion, sphere integrals use 1-D
 quadrature, zonogon areas use an explicit vertex walk, Minkowski-sum
 volumes use Monte Carlo membership with closed-form distances, and mixed
 volumes use a per-tuple loop.
@@ -34,6 +35,30 @@ def wedge_norm_oracle(V):
     V = np.asarray(V, dtype=float)
     G = (V @ V.T).tolist()
     return math.sqrt(max(det_cofactor(G), 0.0))
+
+
+def rho_oracle(V, sets, alphas, degenerate_det=1e-14):
+    """Cover factor sqrt(det C) / prod_i det(C_{A_i})^{alpha_i / 2} by cofactor
+    determinants of the Gram matrix C of the normalized (nonzero) rows.
+
+    A block or full determinant below ``degenerate_det`` gives 0: for blocks
+    that is the package's degeneracy rule, and for the full determinant it
+    stands in for the rank floor that makes an exactly dependent tuple's
+    determinant 0 (cofactor round-off would give about 1e-8 after the root).
+    """
+    V = np.asarray(V, dtype=float)
+    U = V / np.linalg.norm(V, axis=1)[:, None]
+    C = U @ U.T
+    full = det_cofactor(C.tolist())
+    if full < degenerate_det:
+        return 0.0
+    denom = 1.0
+    for A, a in zip(sets, alphas):
+        block = det_cofactor(C[np.ix_(A, A)].tolist())
+        if block < degenerate_det:
+            return 0.0
+        denom *= block ** (a / 2.0)
+    return min(math.sqrt(full) / denom, 1.0)
 
 
 def i_p_uniform_quadrature(d, p):

@@ -15,7 +15,7 @@ from transversal.geom_core import (
 )
 from transversal.hypersurface import UniformCover
 
-from oracles import wedge_norm_oracle
+from oracles import rho_oracle, wedge_norm_oracle
 
 
 def test_wedge_norm_orthonormal_rows_is_one():
@@ -122,6 +122,21 @@ def _random_weighted_cover(j, rng):
     beta = float(rng.uniform(0.2, 0.8))
     sets = [(i,) for i in range(j)] + [tuple(range(j))]
     return UniformCover(j, sets, alphas=(beta,) * j + (1.0 - beta,))
+
+
+def test_rho_matches_cofactor_oracle():
+    rng = np.random.default_rng(31)
+    for trial in range(300):
+        d = int(rng.integers(2, 5))
+        j = int(rng.integers(2, d + 1))
+        V = rng.normal(size=(j, d))
+        if trial % 4 == 1:
+            V[1] = -1.7 * V[0]  # dependent pair
+        elif trial % 4 == 2 and j >= 3:
+            V[2] = 0.4 * V[0] - 2.0 * V[1]  # dependent triple, independent pairs
+        cover = _random_weighted_cover(j, rng)
+        expect = rho_oracle(V, cover.sets, cover.alphas)
+        assert rho_factor(V, cover) == pytest.approx(expect, abs=1e-12)
 
 
 @given(st.integers(0, 10_000))

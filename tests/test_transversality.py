@@ -26,7 +26,12 @@ from transversal.transversality import (
 )
 from transversal.zonotope import Ball, Zonotope, mixed_volume, projection_body, zonotope_volume
 
-from oracles import i_p_uniform_quadrature, uniform_moment_quadrature, wedge_norm_oracle
+from oracles import (
+    i_p_uniform_quadrature,
+    rho_oracle,
+    uniform_moment_quadrature,
+    wedge_norm_oracle,
+)
 
 
 def test_q_axis_cross_2d_is_sqrt2():
@@ -103,6 +108,24 @@ def test_finner_orthogonal_instance_rho_one():
     assert report.details["rhs_coarse"] == pytest.approx(report.details["classical"], rel=1e-12)
     # Q_3^1 of the unsigned cross: 3! permutation tuples of unit wedge
     assert report.lhs == pytest.approx(6.0 ** (1.0 / 3.0), rel=1e-12)
+
+
+def test_finner_sup_rho_matches_cofactor_oracle():
+    triangle = UniformCover(3, [(0, 1), (1, 2), (0, 2)], alphas=(0.5,) * 3)
+    rng = np.random.default_rng(41)
+    v = rng.normal(size=3)
+    # atoms v and -2v make the injective tuples through both of them dependent
+    dependent = DiscreteHypersurface(
+        3, zip(rng.uniform(0.5, 1.5, 5), np.vstack([v, -2.0 * v, rng.normal(size=(3, 3))]))
+    )
+    surfaces = [random_surface(d, 5, seed=seed) for d in (3, 4) for seed in (1, 2)]
+    for s in surfaces + [dependent]:
+        expect = max(
+            rho_oracle(s.vectors[list(t)], triangle.sets, triangle.alphas)
+            for t in itertools.permutations(range(s.m), 3)
+        )
+        got = finner_check(s, triangle, 1.0).details["sup_rho"]
+        assert got == pytest.approx(expect, abs=1e-12)
 
 
 def test_finner_requires_weighted_cover():

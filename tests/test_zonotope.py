@@ -138,6 +138,17 @@ def test_mixed_volume_multiplicity_must_match():
 def test_mixed_volume_degenerate_tuple_contributes_zero():
     u = np.array([1.0, 0.0, 0.0])
     assert mixed_volume(Ball(3), 1, [u, 2.0 * u]) == 0.0
+    # the LU determinant of Gram(v, 1.7 v) is round-off of about 1e-16 times
+    # the Hadamard bound, which the RANK_TOL rule alone would keep
+    v = np.array([0.3, -1.1, 0.7])
+    assert mixed_volume(Ball(3), 1, [v, 1.7 * v]) == 0.0
+    # as a Zonotope entry, only the tuple (w, 1.7 v) contributes
+    w = np.array([0.2, 0.9, -0.4])
+    z = Zonotope(3, np.vstack([v, w]))
+    assert mixed_volume(Ball(3), 1, [z, 1.7 * v]) == pytest.approx(
+        2.0 * mixed_volume(Ball(3), 1, [w, 1.7 * v]), rel=1e-14
+    )
+    assert mixed_volume(Zonotope(3, np.eye(3)), 1, [Zonotope(3, [v]), 1.7 * v]) == 0.0
 
 
 def test_mixed_volume_full_dimension_parallelepiped():
