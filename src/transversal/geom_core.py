@@ -9,6 +9,8 @@ equals 1 exactly when the blocks are mutually orthogonal.
 gram_dets and cover_factors are the batched kernels behind every wedge norm
 and cover factor in the package: the tuple sums, finner_check and the mixed
 volumes call them on stacks of tuples, wedge_norm and rho_factor on one.
+cover_factors forms rho from the determinants with _rho_from_dets, which
+finner_check also calls on block determinants read from its tables.
 """
 
 from __future__ import annotations
@@ -59,11 +61,16 @@ def cover_factors(V, sets, alphas):
     U = unit_directions(V)
     C = U @ np.transpose(U, (0, 2, 1))
     n = C.shape[0]
-    det_full = gram_dets(U)
-    log_den = np.zeros(n)
-    degenerate = np.zeros(n, dtype=bool)
-    for A, a in zip(sets, alphas):
-        sub = np.clip(np.linalg.det(C[np.ix_(range(n), A, A)]), 0.0, None)
+    subs = [np.clip(np.linalg.det(C[np.ix_(range(n), A, A)]), 0.0, None) for A in sets]
+    return _rho_from_dets(gram_dets(U), subs, alphas)
+
+
+def _rho_from_dets(det_full, subs, alphas):
+    """(rho, degenerate) from the full and the block determinants of the
+    normalized Gram, one array entry per tuple (see cover_factors)."""
+    log_den = np.zeros(len(det_full))
+    degenerate = np.zeros(len(det_full), dtype=bool)
+    for sub, a in zip(subs, alphas):
         degenerate |= sub < DEGENERATE_DET
         with np.errstate(divide="ignore"):
             log_den += np.where(sub > 0, 0.5 * a * np.log(sub), 0.0)

@@ -59,10 +59,6 @@ def verdict_leq(lhs, rhs, mc_error=0.0, rel=REL_BAND, abs_=ABS_BAND) -> str:
     return "fail"
 
 
-def verdict_eq(lhs, rhs, tol) -> str:
-    return "pass" if abs(lhs - rhs) <= tol else "fail"
-
-
 @dataclass
 class CheckReport:
     check_id: str

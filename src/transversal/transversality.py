@@ -18,13 +18,22 @@ tuples, by one of three routes:
 * subset     -- slot-symmetric integrands (Q_j^p sums): the j-subsets of the
                 atoms, each standing for its j! orderings;
 * injective  -- integrands that are not slot-symmetric but vanish on
-                repeated atoms (the cover-factor refinement): ordered tuples
-                of distinct atoms;
+                repeated atoms (the refinement pass of finner_check): ordered
+                tuples of distinct atoms;
 * product    -- any other slot list: all ordered tuples.
+
+The same rule lets q_montecarlo give draws that repeat an atom a zero
+determinant without computing it.  q_exact at p = 2 with one surface in
+every slot uses the Cauchy-Binet closed form j! e_j(eig T) instead, and
+enumerates only near rank deficiency; _q_sum itself always enumerates,
+because the closed forms elsewhere are checked against it.  The refinement
+pass of finner_check reads each cover block's determinants from a table over
+that block's atom tuples, built once per call.
 
 The budget still bounds the ordered tuple space prod_k m_k, whatever route
 does the work.  Index blocks are generated lazily, CHUNK at a time, so no
-full index array is ever held in memory.
+full index array is ever held in memory; a block table holds prod m_l
+entries over the slots l of its block.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom_core import cover_factors, gram_dets
+from .geom_core import _rho_from_dets, gram_dets, unit_directions
 from .hypersurface import DiscreteHypersurface, UniformCover, validate_cover
 from .reports import make_report, verdict_leq
 
@@ -87,26 +96,50 @@ def _index_blocks(sizes, route="product"):
         yield flat.reshape(-1, j)
 
 
-def _tuple_blocks(surfaces, *, symmetric=True):
-    """Weights (n,), stacked vectors (n, j, d) and the multiplicity of each
-    block of the tuple sum over ``surfaces``.
+def _same_surface(surfaces):
+    """True when one surface object fills every slot."""
+    return all(s is surfaces[0] for s in surfaces)
 
-    ``symmetric`` says the summand is invariant under reordering the slots;
-    with one surface object in every slot, the sum then runs over j-subsets
-    (multiplicity j!), otherwise over injective tuples (multiplicity 1).
-    Tuples that repeat an atom are skipped on both routes, which is exact
-    because their wedge is 0.
+
+def _slot_weights(surfaces, idx):
+    """prod_k w_k for each row of the index block idx."""
+    W = np.ones(idx.shape[0])
+    for k, s in enumerate(surfaces):
+        W *= s.weights[idx[:, k]]
+    return W
+
+
+def _tuple_blocks(surfaces):
+    """Weights (n,), stacked vectors (n, j, d) and the multiplicity of each
+    block of a slot-symmetric tuple sum over ``surfaces``.
+
+    With one surface object in every slot, the sum runs over j-subsets
+    (multiplicity j!); tuples that repeat an atom are skipped, which is exact
+    because their wedge is 0.  Otherwise it runs over all ordered tuples.
     """
-    route = "product"
-    if all(s is surfaces[0] for s in surfaces):
-        route = "subset" if symmetric else "injective"
+    route = "subset" if _same_surface(surfaces) else "product"
     mult = math.factorial(len(surfaces)) if route == "subset" else 1
     for idx in _index_blocks([s.m for s in surfaces], route):
-        W = np.ones(idx.shape[0])
-        for k, s in enumerate(surfaces):
-            W *= s.weights[idx[:, k]]
         V = np.stack([s.vectors[idx[:, k]] for k, s in enumerate(surfaces)], axis=1)
-        yield W, V, mult
+        yield _slot_weights(surfaces, idx), V, mult
+
+
+def _block_table(surfaces, units, A, p):
+    """Per cover block A: the slot sizes, and over all ordered atom tuples of
+    those slots (flat C order, as np.ravel_multi_index gives) the normalized
+    Gram determinants and F = wedge^p."""
+    sizes = [surfaces[l].m for l in A]
+    sub = np.empty(math.prod(sizes))
+    F = np.empty_like(sub)
+    lo = 0
+    for idx in _index_blocks(sizes):
+        U = np.stack([units[l][idx[:, k]] for k, l in enumerate(A)], axis=1)
+        V = np.stack([surfaces[l].vectors[idx[:, k]] for k, l in enumerate(A)], axis=1)
+        hi = lo + idx.shape[0]
+        sub[lo:hi] = np.clip(np.linalg.det(U @ np.transpose(U, (0, 2, 1))), 0.0, None)
+        F[lo:hi] = gram_dets(V) ** (p / 2.0)
+        lo = hi
+    return sizes, sub, F
 
 
 def _q_sum(surfaces, p):
@@ -128,9 +161,37 @@ def _check_budget(surfaces, budget):
     return total
 
 
+#: the Cauchy-Binet sum is used only when e_j > CB_REL * e_1 * e_{j-1}: closer
+#: to rank deficiency the small eigenvalues lose relative accuracy, and
+#: dependent atoms must give the exact 0 that enumeration gives
+CB_REL = 1e-3
+
+
+def _cauchy_binet_sum(s, j):
+    """Raw Q_j^2 sum of one surface in all j slots, or None near rank
+    deficiency.
+
+    By Cauchy-Binet the sum over ordered tuples of prod w_k det Gram(v_1..v_j)
+    is j! e_j(eig T), with T = sum_i w_i v_i v_i^T = B^T B for the rows
+    sqrt(w_i) v_i of B.  The eigenvalues are taken as squared singular values
+    of B, which keeps the small ones about sqrt(cond T) times more accurate
+    than eigenvalues of T itself.
+    """
+    B = np.sqrt(s.weights)[:, None] * s.vectors
+    e = np.zeros(j + 1)
+    e[0] = 1.0
+    for lam in np.linalg.svd(B, compute_uv=False) ** 2:
+        e[1:] += lam * e[:-1]
+    if e[j] <= CB_REL * e[1] * e[j - 1]:
+        return None
+    return math.factorial(j) * float(e[j])
+
+
 def q_exact(surfaces, j, p, *, budget=DEFAULT_BUDGET) -> float:
-    """Exact Q_j^p by tuple enumeration (j-subsets when a single surface
-    fills every slot, all ordered tuples otherwise).
+    """Exact Q_j^p: by Cauchy-Binet when p = 2 and a single surface fills
+    every slot, away from rank deficiency; otherwise by tuple enumeration
+    (j-subsets when a single surface fills every slot, all ordered tuples
+    otherwise).
 
     Parameters
     ----------
@@ -153,7 +214,11 @@ def q_exact(surfaces, j, p, *, budget=DEFAULT_BUDGET) -> float:
     if j > surfaces[0].d:
         raise ValueError(f"j={j} exceeds dimension d={surfaces[0].d}")
     _check_budget(surfaces, budget)
-    total = _q_sum(surfaces, p)
+    total = None
+    if p == 2 and _same_surface(surfaces):
+        total = _cauchy_binet_sum(surfaces[0], j)
+    if total is None:
+        total = _q_sum(surfaces, p)
     return total ** (1.0 / (j * p))
 
 
@@ -171,7 +236,8 @@ def q_montecarlo(surfaces, j, p, n_samples, seed) -> QEstimate:
 
     Tuples are drawn atom-by-atom proportionally to the weights, which makes
     the sample mean unbiased for the raw sum Q^(jp); the root is reported with
-    a delta-method standard error.
+    a delta-method standard error.  When one surface fills every slot, draws
+    that repeat an atom have wedge 0 and skip the determinant kernel.
     """
     j = int(j)
     n_samples = int(n_samples)
@@ -183,14 +249,18 @@ def q_montecarlo(surfaces, j, p, n_samples, seed) -> QEstimate:
     if j > surfaces[0].d:
         raise ValueError(f"j={j} exceeds dimension d={surfaces[0].d}")
     rng = np.random.default_rng(seed)
-    d = surfaces[0].d
     mass = np.array([s.total_mass for s in surfaces])
     scale = float(np.prod(mass))
-    V = np.empty((n_samples, j, d))
+    ids = np.empty((n_samples, j), dtype=np.intp)
     for k, s in enumerate(surfaces):
-        ids = rng.choice(s.m, size=n_samples, p=s.weights / mass[k])
-        V[:, k, :] = s.vectors[ids]
-    f = scale * gram_dets(V) ** (p / 2.0)
+        ids[:, k] = rng.choice(s.m, size=n_samples, p=s.weights / mass[k])
+    keep = np.ones(n_samples, dtype=bool)
+    if _same_surface(surfaces):
+        keep = np.all(np.diff(np.sort(ids, axis=1), axis=1) != 0, axis=1)
+    V = np.stack([s.vectors[ids[keep, k]] for k, s in enumerate(surfaces)], axis=1)
+    det = np.zeros(n_samples)
+    det[keep] = gram_dets(V)
+    f = scale * det ** (p / 2.0)
     mean = float(np.mean(f))
     se = float(np.std(f, ddof=1) / math.sqrt(n_samples))
     if mean <= 0.0:
@@ -217,7 +287,11 @@ def finner_check(surfaces, cover, p, *, budget=DEFAULT_BUDGET, seed=0):
                        * rho^p )^(1/(jp)),
 
     with F_i the block wedge norm to the p-th power and rho the Gram cover
-    factor of the normalized directions.
+    factor of the normalized directions.  F_i and the normalized block Gram
+    determinants depend only on the atoms of block A_i, so they are computed
+    once per block atom tuple into tables and read per tuple; each tuple
+    still gets its own full Gram determinant, and rho is formed per tuple by
+    the same rule as geom_core.cover_factors.
     """
     if not isinstance(cover, UniformCover):
         raise ValueError("cover must be a UniformCover")
@@ -253,23 +327,32 @@ def finner_check(surfaces, cover, p, *, budget=DEFAULT_BUDGET, seed=0):
     raw_arr = np.array(block_raw)
     degenerate_blocks = bool(np.any(raw_arr == 0.0))
 
-    def chunk_stats(W, V, mult):
-        rho, _ = cover_factors(V, sets, alphas)
-        ratio = np.ones(len(W))
-        for A, a, raw in zip(sets, alphas, raw_arr):
-            F = gram_dets(V[:, A, :]) ** (p / 2.0)
-            ratio *= (F / raw) ** a if raw > 0 else 0.0
-        return mult * float(np.sum(W * ratio * rho**p)), float(np.max(rho))
-
     if degenerate_blocks:
         refinement, sup_rho = 0.0, 0.0
     else:
+        units = [unit_directions(s.vectors) for s in surfaces]
+        tables = []
+        for A, a, raw in zip(sets, alphas, raw_arr):
+            sizes, sub, F = _block_table(surfaces, units, A, p)
+            tables.append((A, sizes, sub, (F / raw) ** a))
         # rho is not slot-symmetric, but it vanishes on repeated atoms, so
         # one surface in every slot takes the injective route
-        stats = [chunk_stats(*b) for b in _tuple_blocks(surfaces, symmetric=False)]
-        refinement = math.fsum(s[0] for s in stats) ** (1.0 / (j * p))
+        route = "injective" if _same_surface(surfaces) else "product"
+        sums, sups = [], []
+        for idx in _index_blocks([s.m for s in surfaces], route):
+            U = np.stack([units[k][idx[:, k]] for k in range(j)], axis=1)
+            ratio = np.ones(idx.shape[0])
+            subs = []
+            for A, sizes, sub, factor in tables:
+                flat = np.ravel_multi_index(idx[:, A].T, sizes)
+                subs.append(sub[flat])
+                ratio *= factor[flat]
+            rho, _ = _rho_from_dets(gram_dets(U), subs, alphas)
+            sums.append(float(np.sum(_slot_weights(surfaces, idx) * ratio * rho**p)))
+            sups.append(float(np.max(rho)))
+        refinement = math.fsum(sums) ** (1.0 / (j * p))
         # no injective tuples (m < j): every tuple repeats an atom, rho = 0
-        sup_rho = max((s[1] for s in stats), default=0.0)
+        sup_rho = max(sups, default=0.0)
 
     rhs_refined = classical * refinement
     rhs_coarse = classical * sup_rho ** (1.0 / j)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from .constants import ball_volume
 from .hypersurface import DiscreteHypersurface
@@ -112,6 +111,9 @@ def polar_zonotope_volume(z: Zonotope) -> float:
         )
     if z.rank() < d:
         raise ValueError("generators must span R^d; the polar body is unbounded")
+    # imported here: scipy.spatial is most of the package's import time
+    from scipy.spatial import ConvexHull, HalfspaceIntersection
+
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
     normals = signs @ z.generators
     keep = np.linalg.norm(normals, axis=1) > 1e-12

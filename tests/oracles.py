@@ -2,10 +2,10 @@
 
 Nothing here imports from the package's numerical core beyond plain numpy
 arrays; determinants (and so wedge norms and cover factors) use cofactor
-expansion, sphere integrals use 1-D
-quadrature, zonogon areas use an explicit vertex walk, Minkowski-sum
-volumes use Monte Carlo membership with closed-form distances, and mixed
-volumes use a per-tuple loop.
+expansion, the Finner refinement a loop over all ordered tuples, sphere
+integrals use 1-D quadrature, zonogon areas use an explicit vertex walk,
+Minkowski-sum volumes use Monte Carlo membership with closed-form
+distances, and mixed volumes use a per-tuple loop.
 """
 
 from __future__ import annotations
@@ -59,6 +59,40 @@ def rho_oracle(V, sets, alphas, degenerate_det=1e-14):
             return 0.0
         denom *= block ** (a / 2.0)
     return min(math.sqrt(full) / denom, 1.0)
+
+
+def refinement_oracle(surfaces, sets, alphas, p):
+    """finner_check's refinement factor and sup rho by a per-tuple loop.
+
+    Walks every ordered tuple of the slots (tuples that repeat an atom get
+    rho = 0 from ``rho_oracle``), with block sums and wedge norms from
+    cofactor determinants:
+
+        refinement = ( sum prod_k w_k * prod_i (F_i / raw_i)^alpha_i
+                       * rho^p )^(1/(jp)),   F_i = |wedge of block A_i|^p,
+
+    where raw_i sums prod w * F_i over the ordered tuples of block A_i.
+    """
+    j = len(surfaces)
+
+    def tuples(slots):
+        for t in itertools.product(*(range(surfaces[l].m) for l in slots)):
+            w = math.prod(surfaces[l].weights[i] for l, i in zip(slots, t))
+            yield w, np.array([surfaces[l].vectors[i] for l, i in zip(slots, t)])
+
+    raws = [sum(w * wedge_norm_oracle(V) ** p for w, V in tuples(A)) for A in sets]
+    total = 0.0
+    sup = 0.0
+    for w, V in tuples(range(j)):
+        rho = rho_oracle(V, sets, alphas)
+        sup = max(sup, rho)
+        if rho > 0.0:
+            factor = math.prod(
+                (wedge_norm_oracle(V[list(A)]) ** p / raw) ** a
+                for A, a, raw in zip(sets, alphas, raws)
+            )
+            total += w * factor * rho**p
+    return total ** (1.0 / (j * p)), sup
 
 
 def i_p_uniform_quadrature(d, p):

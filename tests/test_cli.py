@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import transversal
 from transversal.cli import main
 from transversal.hypersurface import load_surface, make_sheared_cube, surface_from_dict
 
@@ -10,6 +14,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_does_not_load_scipy_spatial():
+    # scipy.spatial is most of the import time and only the polar volume uses it
+    src = os.path.dirname(os.path.dirname(transversal.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = "import sys, transversal.cli; sys.exit('scipy.spatial' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_q_axis_cross(capsys):

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from transversal import transversality
+from transversal.geom_core import gram_dets
 from transversal.hypersurface import (
     DiscreteHypersurface,
     UniformCover,
@@ -28,6 +29,7 @@ from transversal.zonotope import Ball, Zonotope, mixed_volume, projection_body, 
 
 from oracles import (
     i_p_uniform_quadrature,
+    refinement_oracle,
     rho_oracle,
     uniform_moment_quadrature,
     wedge_norm_oracle,
@@ -218,6 +220,106 @@ def test_finner_fewer_atoms_than_slots(cover, m):
     assert report.details["sup_rho"] == 0.0
     assert report.details["refinement"] == 0.0
     assert report.lhs == 0.0
+
+
+TRIANGLE = UniformCover(3, [(0, 1), (1, 2), (0, 2)], alphas=(0.5,) * 3)
+#: block sizes 3, 3 and 2 over four slots
+TRIPLES4 = UniformCover(4, [(0, 1, 2), (1, 2, 3), (0, 3)], alphas=(0.5,) * 3)
+
+
+def _v_minus_2v_surface(d, m, seed):
+    """m atoms in R^d, the first two v and -2v."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=d)
+    vectors = np.vstack([v, -2.0 * v, rng.normal(size=(m - 2, d))])
+    return DiscreteHypersurface(d, zip(rng.uniform(0.5, 1.5, m), vectors))
+
+
+@pytest.mark.parametrize(
+    "cover, d, m",
+    [
+        (UniformCover.singletons(3), 3, 4),
+        (TRIANGLE, 3, 5),
+        (TRIANGLE, 4, 4),
+        (CYCLE4, 4, 4),
+        (TRIPLES4, 4, 4),
+        (UniformCover.partition([(0, 1, 2), (3,)]), 5, 4),
+    ],
+)
+@pytest.mark.parametrize("route", ["same", "distinct"])
+@pytest.mark.parametrize("dependent", [False, True])
+def test_finner_refinement_matches_per_tuple_oracle(cover, d, m, route, dependent):
+    j = cover.j
+    s = _v_minus_2v_surface(d, m, seed=d + m) if dependent else random_surface(d, m, seed=m)
+    surfaces = [s] * j if route == "same" else _distinct_slots(s, j)
+    p = 1.5
+    details = finner_check(surfaces, cover, p).details
+    refinement, sup_rho = refinement_oracle(surfaces, cover.sets, cover.alphas, p)
+    assert details["refinement"] == pytest.approx(refinement, rel=1e-12, abs=0.0)
+    assert details["sup_rho"] == pytest.approx(sup_rho, abs=1e-12)
+
+
+@given(
+    d=st.integers(1, 5),
+    m=st.integers(1, 8),
+    j_frac=st.floats(0.0, 1.0),
+    rank_frac=st.floats(0.0, 1.0),
+    directions=st.integers(1, 8),
+    seed=st.integers(0, 2**16),
+)
+def test_q_exact_p2_matches_enumeration(d, m, j_frac, rank_frac, directions, seed):
+    # atoms in an r-dimensional subspace along k distinct directions, each
+    # direction repeated with random signed lengths
+    j = 1 + min(int(j_frac * d), d - 1)
+    r = 1 + min(int(rank_frac * d), d - 1)
+    k = min(directions, m)
+    rng = np.random.default_rng(seed)
+    D = rng.normal(size=(k, r)) @ rng.normal(size=(r, d))
+    lengths = rng.choice([-1.0, 1.0], size=m) * rng.uniform(0.5, 2.0, size=m)
+    s = DiscreteHypersurface(d, zip(rng.uniform(0.2, 2.0, m), D[np.arange(m) % k] * lengths[:, None]))
+    got = q_exact(s, j, 2.0)
+    enumerated = transversality._q_sum([s] * j, 2.0) ** (1.0 / (2 * j))
+    if min(r, k) < j:
+        assert got == 0.0 and enumerated == 0.0
+    else:
+        assert got == pytest.approx(enumerated, rel=1e-13, abs=0.0)
+
+
+def test_q_exact_p2_route_choice():
+    s = random_surface(4, 9, seed=4)
+    assert transversality._cauchy_binet_sum(s, 3) is not None
+    flat = DiscreteHypersurface(3, [(1.0, [1.0, 0.0, 0.0]), (1.0, [0.0, 1.0, 0.0]), (2.0, [1.0, 1.0, 0.0])])
+    assert transversality._cauchy_binet_sum(flat, 3) is None
+    assert q_exact(flat, 3, 2.0) == 0.0
+
+
+def _q_montecarlo_full_stack(s, j, p, n_samples, seed):
+    """(value, std_error) of q_montecarlo with every draw sent to gram_dets."""
+    rng = np.random.default_rng(seed)
+    V = np.empty((n_samples, j, s.d))
+    for k in range(j):
+        V[:, k, :] = s.vectors[rng.choice(s.m, size=n_samples, p=s.weights / s.total_mass)]
+    f = float(np.prod(np.full(j, s.total_mass))) * gram_dets(V) ** (p / 2.0)
+    mean = float(np.mean(f))
+    se = float(np.std(f, ddof=1) / math.sqrt(n_samples))
+    if mean <= 0.0:
+        return 0.0, 0.0
+    value = mean ** (1.0 / (j * p))
+    return value, value * se / (j * p * mean)
+
+
+@pytest.mark.parametrize(
+    "d, m, p, n_samples",
+    [(3, 2, 1.0, 500), (4, 3, 1.5, 500), (3, 3, 1.0, 5_000), (4, 4, 2.0, 5_000),
+     (3, 60, 1.5, 20_000), (4, 40, 1.0, 20_000)],
+)
+def test_q_montecarlo_repeat_skip_matches_full_stack(d, m, p, n_samples):
+    s = random_surface(d, m, seed=m)
+    for seed in (0, 1, 2):
+        est = q_montecarlo(s, d, p, n_samples, seed)
+        assert (est.value, est.std_error) == _q_montecarlo_full_stack(s, d, p, n_samples, seed)
+        if m < d:  # every draw repeats an atom
+            assert est.value == 0.0 and est.std_error == 0.0
 
 
 def test_i_p_frozen_values():
