@@ -264,6 +264,11 @@ def _reject_constant(s):
 def surface_from_dict(data):
     if not isinstance(data, dict) or "d" not in data or "atoms" not in data:
         raise ValueError("surface JSON must have 'd' and 'atoms'")
+    if not isinstance(data["atoms"], list):
+        raise ValueError("surface JSON 'atoms' must be a list")
+    for i, a in enumerate(data["atoms"]):
+        if not isinstance(a, dict) or "w" not in a or "v" not in a:
+            raise ValueError(f"surface JSON atom {i} must be an object with 'w' and 'v'")
     atoms = [(a["w"], a["v"]) for a in data["atoms"]]
     return DiscreteHypersurface(data["d"], atoms, label=data.get("label", ""))
 

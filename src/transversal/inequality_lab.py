@@ -196,11 +196,8 @@ def _check_bezout(instance, params):
 
 def _check_maximizer(instance, params):
     p = float(params.get("p", 1.0))
-    d = int(params.get("d", 3))
     seed = int(params.get("seed", 0))
-    mu = _get_surface(
-        instance, params, d=d, m=int(params.get("m", 6)), unit=True, probability=True
-    )
+    mu = _get_surface(instance, params, unit=True, probability=True)
     d = mu.d
     value = i_p(mu, p)
     uniform = i_p_uniform_closed_form(d, p)
@@ -251,7 +248,7 @@ def _check_maximizer(instance, params):
 def _check_santalo(instance, params):
     from .volumes import santalo_check
 
-    s = _get_surface(instance, params, d=int(params.get("d", 3)), m=int(params.get("m", 6)))
+    s = _get_surface(instance, params)
     return santalo_check(
         s,
         n_samples=int(params.get("n_samples", 200_000)),
@@ -261,7 +258,7 @@ def _check_santalo(instance, params):
 
 def _check_affine_lw(instance, params):
     rng = _rng(params)
-    s = _get_surface(instance, params, d=int(params.get("d", 3)), m=int(params.get("m", 5)))
+    s = _get_surface(instance, params, m=5)
     d = s.d
     W = params.get("basis")
     W = np.asarray(W, dtype=float) if W is not None else rng.normal(size=(d, d))
@@ -289,23 +286,13 @@ def _check_affine_lw(instance, params):
     )
 
 
-def _vis1_exact_surface(params, instance):
-    """Surface small enough for the exact p=1 visibility route."""
-    d = int(params.get("d", 3))
-    m = min(int(params.get("m", 6)), 8)
-    s = _get_surface(instance, params, d=min(d, 4), m=m)
-    if s.d > 4 or s.m > 8:
-        raise ValueError("p=1 visibility checks need d <= 4 and at most 8 atoms")
-    return s
-
-
 def _check_vis_p1_upper(instance, params):
     rng = _rng(params)
-    s = _vis1_exact_surface(params, instance)
+    s = _get_surface(instance, params)
+    vis = vis_p(s, 1.0, "exact").value
     d = s.d
     sets, dims = _random_partition(d, rng, params.get("dims"))
     b_d = ConstantsCatalog.b_d(d, dims)
-    vis = vis_p(s, 1.0, "exact").value
     n_frames = int(params.get("n_frames", 4))
     worst_rhs = None
     frame_margins = []
@@ -354,7 +341,8 @@ def _lewis_eigenframe(s, p=1.0):
 
 def _check_vis_p1_lower_lewis(instance, params):
     rng = _rng(params)
-    s = _vis1_exact_surface(params, instance)
+    s = _get_surface(instance, params)
+    vis = vis_p(s, 1.0, "exact").value
     d = s.d
     sets, dims = _random_partition(d, rng, params.get("dims"))
     c_d = ConstantsCatalog.c_d(d, dims)
@@ -363,7 +351,6 @@ def _check_vis_p1_lower_lewis(instance, params):
     for A in sets:
         prod_sigma *= sigma_plane(s, frame[list(A)])
     lhs = c_d * prod_sigma ** (1.0 / d)
-    vis = vis_p(s, 1.0, "exact").value
     return make_report(
         "VIS_P1_LOWER_LEWIS",
         (s.to_dict(), dims),
@@ -388,7 +375,7 @@ def _check_reverse_lw_zonoid(instance, params):
         base = make_axis_cross(d, weight_per_axis=1.0 / (2 * d), signed=True)
         s = base.map(R)
     else:
-        s = _get_surface(instance, params, d=int(params.get("d", 3)), m=int(params.get("m", 6)))
+        s = _get_surface(instance, params)
     d = s.d
     sets, dims = _random_partition(d, rng, params.get("dims"))
     frame, res = _lewis_eigenframe(s, 1.0)
@@ -520,7 +507,7 @@ def _check_ellipsoid_lw(instance, params):
 
 def _check_vis_p2_q(instance, params):
     rng = _rng(params)
-    s = _get_surface(instance, params, d=int(params.get("d", 3)), m=int(params.get("m", 7)))
+    s = _get_surface(instance, params, m=7)
     d = s.d
     T = (s.weights[:, None] * s.vectors).T @ s.vectors
     evals, evecs = np.linalg.eigh(T)
@@ -593,7 +580,7 @@ def _check_vis_p2_q(instance, params):
 
 def _check_vis_p_upper(instance, params):
     p = float(params.get("p", 1.5))
-    s = _get_surface(instance, params, d=int(params.get("d", 3)), m=int(params.get("m", 6)))
+    s = _get_surface(instance, params)
     d = s.d
     vest = _vis_estimate(s, p, params)
     q1p = q_exact(s, 1, p)
@@ -633,7 +620,7 @@ def _q_inf_a_pieces(s, p):
 
 def _check_q_inf_a(instance, params):
     p = float(params.get("p", 2.0))
-    s = _get_surface(instance, params, d=int(params.get("d", 3)), m=int(params.get("m", 6)))
+    s = _get_surface(instance, params)
     d = s.d
     q, res, det_u, a0, upper_const, printed_const = _q_inf_a_pieces(s, p)
     lower_ok = verdict_leq(q, a0) == "pass"
@@ -677,7 +664,7 @@ def _check_q_inf_a(instance, params):
 
 def _check_vis_sandwich(instance, params):
     p = float(params.get("p", 1.5))
-    s = _get_surface(instance, params, d=int(params.get("d", 3)), m=int(params.get("m", 6)))
+    s = _get_surface(instance, params)
     d = s.d
     q, res, det_u, a0, upper_const, printed_const = _q_inf_a_pieces(s, p)
     vest = _vis_estimate(s, p, params)
@@ -723,50 +710,32 @@ def _check_vis_sandwich(instance, params):
     )
 
 
-def _gauss_legendre(a, b, n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return (a + b) / 2.0 + (b - a) / 2.0 * x, (b - a) / 2.0 * w
+def _sphere_rule(d, n_polar, n_azimuth):
+    """Product rule for the normalized measure on S^{d-1}, d in {2, 3}.
 
-
-def _nu_quadrature_h(M, x, n_polar=80, n_azimuth=120):
-    """Quadrature for the zonoid representation of an ellipsoid support
-    function: integral over the unit sphere of |<x, theta>| against the
-    density (norm of theta in the ellipsoid)^{-(d+1)}, normalized measure."""
-    d = M.shape[0]
-    Minv = np.linalg.inv(M)
-    vol = ball_volume(d) * math.sqrt(float(np.linalg.det(M)))
-    const = d * ball_volume(d) ** 2 / (2.0 * ball_volume(d - 1) * vol)
-    x = np.asarray(x, dtype=float)
-    if d == 2:
-        phi0 = math.atan2(x[1], x[0])
-        total = 0.0
-        for a, b in ((phi0 - math.pi / 2, phi0 + math.pi / 2), (phi0 + math.pi / 2, phi0 + 3 * math.pi / 2)):
-            t, w = _gauss_legendre(a, b, n_polar)
-            theta = np.stack([np.cos(t), np.sin(t)], axis=1)
-            dens = np.einsum("ij,jk,ik->i", theta, Minv, theta) ** (-(d + 1) / 2.0)
-            total += float(np.sum(w * np.abs(theta @ x) * dens))
-        return const * total / (2.0 * math.pi)
-    if d == 3:
-        nx = x / np.linalg.norm(x)
-        ref = np.eye(3)[np.argmin(np.abs(nx))]
-        u = np.cross(nx, ref)
-        u /= np.linalg.norm(u)
-        w2 = np.cross(nx, u)
-        psi = np.arange(n_azimuth) * 2.0 * math.pi / n_azimuth
-        circle = np.outer(np.cos(psi), u) + np.outer(np.sin(psi), w2)
-        total = 0.0
-        for a, b in ((0.0, math.pi / 2), (math.pi / 2, math.pi)):
-            phi, wphi = _gauss_legendre(a, b, max(n_polar // 2, 30))
-            for ph, wp in zip(phi, wphi):
-                theta = math.cos(ph) * nx[None, :] + math.sin(ph) * circle
-                dens = np.einsum("ij,jk,ik->i", theta, Minv, theta) ** (-2.0)
-                inner = np.abs(theta @ x)
-                total += wp * math.sin(ph) * float(np.sum(inner * dens)) * (2.0 * math.pi / n_azimuth)
-        return const * total / (4.0 * math.pi)
-    raise ValueError("quadrature supports d = 2 or 3")
+    Nodes are cos(phi) e_1 + sin(phi) xi, with phi Gauss-Legendre on
+    [0, pi/2] and on [pi/2, pi] (the kink of |<e_1, theta>| is at pi/2) and
+    xi equally spaced on the unit circle of e_1^perp (the two points +-e_2
+    when d = 2).  Weights are sin^{d-2}(phi), normalized by |S^{d-1}|.
+    """
+    t, w = np.polynomial.legendre.leggauss(max(n_polar // 2, 30))
+    phi = np.concatenate([t + 1.0, t + 3.0]) * (math.pi / 4.0)
+    w_phi = np.concatenate([w, w]) * (math.pi / 4.0) * np.sin(phi) ** (d - 2)
+    n_xi = n_azimuth if d == 3 else 2
+    psi = np.arange(n_xi) * (2.0 * math.pi / n_xi)
+    xi = np.stack([np.cos(psi), np.sin(psi)], axis=1)[:, : d - 1]
+    nodes = np.column_stack([np.repeat(np.cos(phi), n_xi), np.kron(np.sin(phi)[:, None], xi)])
+    # each azimuth carries |S^{d-2}| / n_xi
+    scale = (d - 1) * ball_volume(d - 1) / (n_xi * d * ball_volume(d))
+    return nodes, np.repeat(w_phi, n_xi) * scale
 
 
 def _check_nu_measure(instance, params):
+    """Zonoid representation of an ellipsoid's support function: for unit x,
+
+        h_E(x) = const * integral over S^{d-1} of |<x, theta>| ||theta||_E^{-(d+1)},
+
+    normalized measure, checked by quadrature on random directions."""
     rng = _rng(params)
     d = int(params.get("d", 2))
     if instance is not None:
@@ -779,19 +748,26 @@ def _check_nu_measure(instance, params):
         M = R @ np.diag(rng.uniform(0.5, 2.0, size=d)) @ R.T
     if d not in (2, 3):
         raise ValueError("NU_MEASURE supports d = 2 or 3")
-    n_polar = int(params.get("n_polar", 160))
-    n_azimuth = int(params.get("n_azimuth", 160))
+    nodes, weights = _sphere_rule(
+        d, int(params.get("n_polar", 160)), int(params.get("n_azimuth", 160))
+    )
+    # with x = e_1 in the rule's frame, |<x, theta>| = |cos phi|
+    kernel = weights * np.abs(nodes[:, 0])
+    Minv = np.linalg.inv(M)
+    vol = ball_volume(d) * math.sqrt(float(np.linalg.det(M)))
+    constant = d * ball_volume(d) ** 2 / (2.0 * ball_volume(d - 1) * vol)
     n_dirs = int(params.get("n_directions", 5))
     dirs = rng.normal(size=(n_dirs, d))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     worst = 0.0
     for x in dirs:
+        Q = np.linalg.qr(x[:, None], mode="complete")[0]  # first column +-x
+        form = nodes @ (Q.T @ Minv @ Q)
+        dens = np.sum(form * nodes, axis=1) ** (-(d + 1) / 2.0)
+        h_quad = constant * float(kernel @ dens)
         h_exact = math.sqrt(float(x @ M @ x))
-        h_quad = _nu_quadrature_h(M, x, n_polar=n_polar, n_azimuth=n_azimuth)
         worst = max(worst, abs(h_quad - h_exact) / max(h_exact, 1e-300))
     tol = float(params.get("tol", 1e-6))
-    vol = ball_volume(d) * math.sqrt(float(np.linalg.det(M)))
-    constant = d * ball_volume(d) ** 2 / (2.0 * ball_volume(d - 1) * vol)
     return make_report(
         "NU_MEASURE",
         (M, n_dirs),
@@ -950,7 +926,12 @@ def run_suite(config) -> SuiteResult:
     entries = config.get("checks")
     if entries is None:
         entries = default_suite_config(base_seed)["checks"]
-    extra_surfaces = [load_surface(p) for p in config.get("surfaces", [])]
+    if not isinstance(entries, list):
+        raise ValueError('suite config "checks" must be a list of entries')
+    surface_paths = config.get("surfaces", [])
+    if not isinstance(surface_paths, list):
+        raise ValueError('suite config "surfaces" must be a list of paths')
+    extra_surfaces = [load_surface(p) for p in surface_paths]
 
     jobs = []
     for idx, entry in enumerate(entries):
@@ -959,7 +940,10 @@ def run_suite(config) -> SuiteResult:
         check_id = entry["id"]
         if check_id not in _HANDLERS:
             raise ValueError(f"unknown check id in config: {check_id!r}")
-        params = dict(entry.get("params", {}))
+        params = entry.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError(f'suite config entry {idx} "params" must be an object')
+        params = dict(params)
         repeat = int(entry.get("repeat", 1))
         surface = entry.get("surface")
         instance = load_surface(surface) if isinstance(surface, str) else surface

@@ -185,7 +185,7 @@ def mixed_volume(body, multiplicity, entries, *, budget=SUBSET_BUDGET) -> float:
     if int(multiplicity) != d - k:
         raise ValueError(f"multiplicity {multiplicity} != d - k = {d - k}")
     if k == 0:
-        return body.volume() if isinstance(body, Ball) else zonotope_volume(body)
+        return body.volume() if isinstance(body, Ball) else zonotope_volume(body, budget=budget)
     if k > d:
         raise ValueError("more segment entries than dimensions")
     gens = []
@@ -261,7 +261,7 @@ def bezout_check(body, zonotopes, cover, *, budget=SUBSET_BUDGET, seed=0):
     r = cover.m
     sizes = cover.block_sizes
 
-    vol_K = body.volume() if isinstance(body, Ball) else zonotope_volume(body, budget=budget)
+    vol_K = mixed_volume(body, d, [], budget=budget)
     v_full = mixed_volume(body, d - j, zonotopes, budget=budget)
     lhs = vol_K ** (r - s) * v_full**s
     const = 1.0

@@ -118,6 +118,31 @@ def test_bad_surface_spec_exits_two(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("atoms", ['[{"w": 1.0}]', "[5]", "5"])
+def test_malformed_surface_file_exits_two(capsys, tmp_path, atoms):
+    path = tmp_path / "bad.json"
+    path.write_text('{"d": 2, "atoms": %s}' % atoms)
+    code, _, err = run(capsys, "q", "--surface", str(path))
+    assert code == 2
+    assert "error: surface JSON" in err
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"checks": 5}, '"checks"'),
+        ({"checks": [{"id": "AFFINE_LW", "params": [1, 2]}]}, '"params"'),
+        ({"checks": [{"id": "AFFINE_LW"}], "surfaces": "x.json"}, '"surfaces"'),
+    ],
+)
+def test_malformed_suite_config_exits_two(capsys, tmp_path, config, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    code, _, err = run(capsys, "suite", str(cfg_path))
+    assert code == 2
+    assert err.startswith("error:") and key in err
+
+
 def test_generator_without_dimension_exits_two(capsys):
     code, _, err = run(capsys, "q", "--surface", "axis-cross")
     assert code == 2

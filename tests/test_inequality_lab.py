@@ -207,6 +207,38 @@ def test_timings_are_zeroed_unless_requested():
     assert report.to_dict(timings=True)["runtime_ms"] > 0.0
 
 
+@pytest.mark.parametrize("d, n_nodes", [(2, 320), (3, 160 * 160)])
+def test_nu_sphere_rule_is_a_normalized_rule(d, n_nodes):
+    nodes, weights = inequality_lab._sphere_rule(d, 160, 160)
+    assert nodes.shape == (n_nodes, d) and weights.shape == (n_nodes,)
+    assert np.max(np.abs(np.linalg.norm(nodes, axis=1) - 1.0)) <= 1e-15
+    assert abs(weights.sum() - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_nu_measure_error_is_round_off(d):
+    for seed in range(10):
+        report = run_check("NU_MEASURE", params={"d": d, "seed": seed})
+        assert report.verdict == "pass"
+        assert report.details["max_relative_error"] <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_nu_measure_round_ball_support_is_one(d):
+    # M = I: every quadrature support value is h(x) = 1
+    report = run_check("NU_MEASURE", np.eye(d), params={"seed": 5, "n_directions": 20})
+    assert report.verdict == "pass"
+    assert report.details["max_relative_error"] <= 1e-13
+
+
+def test_nu_measure_d4_is_a_precondition_failure():
+    for instance in (None, np.eye(4)):
+        report = run_check("NU_MEASURE", instance, params={"d": 4})
+        assert report.verdict == "inconclusive"
+        assert report.details["precondition_failure"] is True
+        assert "d = 2 or 3" in report.details["error"]
+
+
 def test_ellipsoid_check_reports_printed_reading():
     report = run_check("ELLIPSOID_LW", params={"seed": 6, "d": 4})
     det = report.details

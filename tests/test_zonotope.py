@@ -52,6 +52,13 @@ def test_zonotope_volume_budget():
         zonotope_volume(z, budget=100)
 
 
+def test_mixed_volume_of_body_alone_honours_budget():
+    z = Zonotope(3, np.ones((40, 3)) + np.arange(120).reshape(40, 3))
+    with pytest.raises(ValueError):
+        mixed_volume(z, 3, [], budget=100)
+    assert mixed_volume(z, 3, []) == zonotope_volume(z)
+
+
 def test_projection_body_generators():
     s = DiscreteHypersurface(2, [(2.0, [1.0, 0.0]), (0.5, [0.0, 1.0])])
     z = projection_body(s)
