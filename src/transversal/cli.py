@@ -34,7 +34,7 @@ from .inequality_lab import (
     write_report_json,
 )
 from .lewis import isotropy_defect, lewis_solve
-from .transversality import finner_check, q_exact, q_montecarlo
+from .transversality import DEFAULT_BUDGET, finner_check, q_exact, q_montecarlo
 from .volumes import vis_p
 from .zonotope import Ball, mixed_volume, projection_body
 
@@ -61,15 +61,25 @@ def _build_surface(name, args):
     )
 
 
-def _surface_flags(sp, default_m=6):
-    sp.add_argument("--surface", required=True, help="surface file or generator name")
-    sp.add_argument("--d", type=int, default=None, help="dimension for generators")
-    sp.add_argument("--m", "--n", dest="m", type=int, default=default_m, help="atom count for generators")
+def _generator_flags(sp, d_required=False):
+    sp.add_argument("--d", type=int, required=d_required, help="dimension for generators")
+    sp.add_argument("--m", "--n", dest="m", type=int, default=6, help="atom count for generators")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--weight", type=float, default=1.0, help="axis-cross weight per atom")
     sp.add_argument("--signed", action="store_true", help="axis-cross: include negatives")
     sp.add_argument("--unit", action="store_true", help="random: unit directions")
     sp.add_argument("--probability", action="store_true", help="random: weights sum to 1")
+
+
+def _surface_flags(sp):
+    sp.add_argument("--surface", required=True, help="surface file or generator name")
+    _generator_flags(sp)
+
+
+def _budget_flag(sp):
+    what = "q: C(m, j) subsets, none at p = 2; rho: m!/(m-j)! tuples, m^|A| per cover block A"
+    help_ = f"cap on the tuples one exact sum walks ({what})"
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=help_)
 
 
 def _parse_cover(cover_str, alphas_str, s_count, j):
@@ -139,17 +149,10 @@ def _parse_vec(text):
 
 def _cmd_mixedvol(args):
     d = args.d
-    entries = []
-    for seg in args.segment or []:
-        v = _parse_vec(seg)
-        if v.shape != (d,):
-            raise ValueError(f"segment {seg!r} must have {d} coordinates")
-        entries.append(v)
+    entries = [_parse_vec(seg) for seg in args.segment or []]
     for path in args.zonotope or []:
         entries.append(projection_body(load_surface(path)))
     k = len(entries)
-    if k > d:
-        raise ValueError("more entries than the dimension allows")
     if args.body == "ball":
         body = Ball(d)
     else:
@@ -243,7 +246,7 @@ def build_parser():
     _surface_flags(sp)
     sp.add_argument("--j", type=int, default=None, help="tuple length (default: d)")
     sp.add_argument("--p", type=float, default=1.0)
-    sp.add_argument("--budget", type=int, default=10_000_000)
+    _budget_flag(sp)
     sp.add_argument("--mc", type=int, default=None, help="Monte Carlo sample count instead of exact")
     sp.set_defaults(fn=_cmd_q)
 
@@ -251,7 +254,7 @@ def build_parser():
     _surface_flags(sp)
     sp.add_argument("--j", type=int, default=None)
     sp.add_argument("--p", type=float, default=1.0)
-    sp.add_argument("--budget", type=int, default=10_000_000)
+    _budget_flag(sp)
     sp.add_argument("--cover", default=None, help="semicolon-separated blocks, e.g. '0,1;1,2;0,2'")
     sp.add_argument("--alphas", default=None, help="comma-separated cover weights")
     sp.set_defaults(fn=_cmd_rho)
@@ -280,14 +283,8 @@ def build_parser():
     sp = sub.add_parser("check", help="run one registry check")
     sp.add_argument("check_id", choices=sorted(CHECK_IDS))
     sp.add_argument("--surface", default=None, help="surface file or generator name")
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--m", "--n", dest="m", type=int, default=6)
-    sp.add_argument("--seed", type=int, default=0)
+    _generator_flags(sp)
     sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--weight", type=float, default=1.0)
-    sp.add_argument("--signed", action="store_true")
-    sp.add_argument("--unit", action="store_true")
-    sp.add_argument("--probability", action="store_true")
     sp.add_argument("--params", default=None, help="JSON object of extra check parameters")
     sp.add_argument("--timings", action="store_true")
     sp.set_defaults(fn=_cmd_check)
@@ -303,13 +300,7 @@ def build_parser():
 
     sp = sub.add_parser("gen", help="generate a surface file")
     sp.add_argument("generator", choices=GENERATORS)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--m", "--n", dest="m", type=int, default=6)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--weight", type=float, default=1.0)
-    sp.add_argument("--signed", action="store_true")
-    sp.add_argument("--unit", action="store_true")
-    sp.add_argument("--probability", action="store_true")
+    _generator_flags(sp, d_required=True)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_gen)
 

@@ -28,7 +28,7 @@ from .hypersurface import (
     random_surface,
 )
 from .lewis import det_u_lower_bound, lewis_solve
-from .reports import CheckReport, fingerprint, make_report, verdict_leq
+from .reports import CheckReport, make_report, verdict_leq
 from .transversality import (
     finner_check,
     i_p,
@@ -36,7 +36,7 @@ from .transversality import (
     jp_bound_check,
     q_exact,
 )
-from .volumes import EllipsoidBody, sigma2_plane, vis_p
+from .volumes import EllipsoidBody, santalo_check, sigma2_plane, vis_p
 from .zonotope import (
     Ball,
     Zonotope,
@@ -72,13 +72,33 @@ def _rng(params):
 def _get_surface(instance, params, *, d=3, m=6, unit=False, probability=False):
     if isinstance(instance, DiscreteHypersurface):
         return instance
-    if isinstance(instance, str):
-        return load_surface(instance)
+    if instance is not None:
+        raise ValueError(f"this check takes a surface, not {type(instance).__name__}")
     d = int(params.get("d", d))
     m = int(params.get("m", m))
     return random_surface(
         d, m, int(params.get("seed", 0)), unit=unit, probability=probability
     )
+
+
+def _list_of(instance, cls):
+    """True for a non-empty list or tuple of ``cls`` instances."""
+    if not isinstance(instance, (list, tuple)) or not instance:
+        return False
+    return all(isinstance(x, cls) for x in instance)
+
+
+def _square_matrix(instance):
+    """The support form of an EllipsoidBody, or a square matrix given as is."""
+    if isinstance(instance, EllipsoidBody):
+        return instance.support_form
+    try:
+        M = np.asarray(instance, dtype=float)
+    except TypeError:
+        M = np.empty(0)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"this check takes a square matrix, not {type(instance).__name__}")
+    return M
 
 
 def _random_rotation(d, rng):
@@ -153,18 +173,16 @@ def _vis_estimate(s, p, params):
 def _check_finner_rho(instance, params):
     d = int(params.get("d", 3))
     j = int(params.get("j", min(3, d)))
-    if isinstance(instance, (list, tuple)):
+    if _list_of(instance, DiscreteHypersurface):
         surfaces = list(instance)
         j = len(surfaces)
-        d = surfaces[0].d
     elif isinstance(instance, DiscreteHypersurface):
         surfaces = [instance] * j
-        d = instance.d
-    else:
+    elif instance is None:
         m = int(params.get("m", 4))
-        surfaces = [
-            random_surface(d, m, int(params.get("seed", 0)) + 13 * k) for k in range(j)
-        ]
+        surfaces = [random_surface(d, m, int(params.get("seed", 0)) + 13 * k) for k in range(j)]
+    else:
+        raise ValueError("FINNER_RHO takes a surface or a list of surfaces")
     if "cover_sets" in params:
         cover = UniformCover(j, params["cover_sets"], alphas=params["cover_alphas"])
     elif j >= 3:
@@ -181,12 +199,14 @@ def _check_bezout(instance, params):
     d = int(params.get("d", 3))
     j = int(params.get("j", 2))
     n_gens = int(params.get("generators", 3))
-    if isinstance(instance, (list, tuple)) and instance and isinstance(instance[0], Zonotope):
+    if _list_of(instance, Zonotope):
         zonotopes = list(instance)
         j = len(zonotopes)
         d = zonotopes[0].d
-    else:
+    elif instance is None:
         zonotopes = [Zonotope(d, rng.normal(size=(n_gens, d))) for _ in range(j)]
+    else:
+        raise ValueError("BEZOUT takes a list of zonotopes")
     if "cover_sets" in params:
         cover = UniformCover(j, params["cover_sets"], s=int(params.get("s", 1)))
     else:
@@ -246,8 +266,6 @@ def _check_maximizer(instance, params):
 
 
 def _check_santalo(instance, params):
-    from .volumes import santalo_check
-
     s = _get_surface(instance, params)
     return santalo_check(
         s,
@@ -369,6 +387,8 @@ def _check_reverse_lw_zonoid(instance, params):
     rng = _rng(params)
     variant = params.get("variant", "surface")
     if variant == "zonoid":
+        if instance is not None:
+            raise ValueError("the zonoid variant builds its own measure and takes no instance")
         # isotropic spherical measure: rotated signed axis cross
         d = int(params.get("d", 3))
         R = _random_rotation(d, rng)
@@ -445,14 +465,11 @@ def _ellipsoid_bounds(M, W, sets, weights):
 def _check_ellipsoid_lw(instance, params):
     rng = _rng(params)
     d = int(params.get("d", 4))
-    if isinstance(instance, EllipsoidBody):
-        M = instance.support_form
-        d = instance.d
-    elif instance is not None:
-        M = np.asarray(instance, dtype=float)
-        d = M.shape[0]
-    else:
+    if instance is None:
         M = _spd_matrix(d, rng)
+    else:
+        M = _square_matrix(instance)
+        d = M.shape[0]
     if params.get("diagonal"):
         M = np.diag(np.diag(M))
     if params.get("basis") is not None:
@@ -739,7 +756,7 @@ def _check_nu_measure(instance, params):
     rng = _rng(params)
     d = int(params.get("d", 2))
     if instance is not None:
-        M = np.asarray(instance, dtype=float)
+        M = _square_matrix(instance)
         d = M.shape[0]
     else:
         # moderate eccentricity so the fixed-order quadrature resolves the
@@ -821,9 +838,10 @@ def run_check(check_id, instance=None, params=None) -> CheckReport:
 
     ``instance`` is check-specific (surface, matrix, zonotope list, or a path
     to a surface file); when omitted, a deterministic instance is generated
-    from ``params['seed']``.  Precondition failures are reported as an
-    ``inconclusive`` verdict with the error message in details, so a suite
-    never confuses a bad instance with a theorem violation.
+    from ``params['seed']``.  Precondition failures, an instance the check
+    cannot take among them, are reported as an ``inconclusive`` verdict with
+    the error message in details, so a suite never confuses a bad instance
+    with a theorem violation.
     """
     if check_id not in _HANDLERS:
         raise KeyError(f"unknown check id {check_id!r}; known: {', '.join(CHECK_IDS)}")
@@ -835,14 +853,11 @@ def run_check(check_id, instance=None, params=None) -> CheckReport:
     try:
         report = _HANDLERS[check_id](instance, params)
     except (ValueError, np.linalg.LinAlgError) as exc:
-        report = CheckReport(
-            check_id=check_id,
-            instance=fingerprint(check_id, params),
-            lhs=0.0,
-            rhs=0.0,
-            constant=None,
-            margin=0.0,
-            mc_error=0.0,
+        report = make_report(
+            check_id,
+            (check_id, params),
+            0.0,
+            0.0,
             verdict="inconclusive",
             seed=int(params.get("seed", 0)),
             details={"error": str(exc), "precondition_failure": True},
@@ -915,9 +930,10 @@ def run_suite(config) -> SuiteResult:
     """Execute a suite configuration: generated plus user-supplied instances.
 
     Config keys: ``seed`` (base seed), ``checks`` (list of
-    ``{"id", "params", "repeat", "surface"}``), ``surfaces`` (paths run
-    against every surface-accepting check entry).  Reports keep submission
-    order; any ``fail`` verdict marks the suite as failed.
+    ``{"id", "params", "repeat", "surface"}``, where ``surface`` is a path),
+    ``surfaces`` (paths run against every entry; a check that cannot take a
+    surface reports it as an inconclusive precondition failure).  Reports
+    keep submission order; any ``fail`` verdict marks the suite as failed.
     """
     if not isinstance(config, dict):
         raise ValueError("suite config must be a mapping")
@@ -929,7 +945,7 @@ def run_suite(config) -> SuiteResult:
     if not isinstance(entries, list):
         raise ValueError('suite config "checks" must be a list of entries')
     surface_paths = config.get("surfaces", [])
-    if not isinstance(surface_paths, list):
+    if not isinstance(surface_paths, list) or not all(isinstance(p, str) for p in surface_paths):
         raise ValueError('suite config "surfaces" must be a list of paths')
     extra_surfaces = [load_surface(p) for p in surface_paths]
 
@@ -946,7 +962,9 @@ def run_suite(config) -> SuiteResult:
         params = dict(params)
         repeat = int(entry.get("repeat", 1))
         surface = entry.get("surface")
-        instance = load_surface(surface) if isinstance(surface, str) else surface
+        if surface is not None and not isinstance(surface, str):
+            raise ValueError(f'suite config entry {idx} "surface" must be a path')
+        instance = None if surface is None else load_surface(surface)
         for rep in range(repeat):
             run_params = dict(params)
             run_params.setdefault("seed", base_seed + 1000 * idx + rep)

@@ -30,10 +30,11 @@ because the closed forms elsewhere are checked against it.  The refinement
 pass of finner_check reads each cover block's determinants from a table over
 that block's atom tuples, built once per call.
 
-The budget still bounds the ordered tuple space prod_k m_k, whatever route
-does the work.  Index blocks are generated lazily, CHUNK at a time, so no
-full index array is ever held in memory; a block table holds prod m_l
-entries over the slots l of its block.
+The budget bounds the tuples each walk yields (C(m, j) subsets, m!/(m-j)!
+injective tuples, prod m_k ordered tuples, and prod m_l for a block table
+over its slots l); _index_blocks alone checks it, when the walk is created.
+The Cauchy-Binet sum walks nothing.  Index blocks are generated lazily,
+CHUNK at a time, so no full index array is ever held in memory.
 """
 
 from __future__ import annotations
@@ -70,30 +71,31 @@ def _as_surface_list(surfaces, j=None):
     return surfaces
 
 
-def _index_blocks(sizes, route="product"):
+def _index_blocks(sizes, route="product", budget=DEFAULT_BUDGET):
     """Tuple indices, lazily, as (n, j) integer arrays of at most CHUNK rows.
 
     ``product`` walks all ordered tuples of range(sizes[0]) x ...; ``subset``
     and ``injective`` take every slot from range(sizes[0]) and walk its
     j-subsets or its ordered tuples of distinct entries.  Block boundaries
-    depend only on the sizes and the route.
+    depend only on the sizes and the route.  The rows the walk will yield
+    are counted against ``budget`` at the call, before the first block.
     """
     j = len(sizes)
     if route == "product":
         total = math.prod(sizes)
-        for lo in range(0, total, CHUNK):
-            idx = np.unravel_index(np.arange(lo, min(lo + CHUNK, total)), sizes)
-            yield np.stack(idx, axis=1)
-        return
+    else:
+        total = (math.comb if route == "subset" else math.perm)(sizes[0], j)
+    if total > budget:
+        raise ValueError(f"the {route} walk has {total} tuples, over the budget {budget}")
+    if route == "product":
+        return (
+            np.stack(np.unravel_index(np.arange(lo, min(lo + CHUNK, total)), sizes), axis=1)
+            for lo in range(0, total, CHUNK)
+        )
     walk = itertools.combinations if route == "subset" else itertools.permutations
     tuples = walk(range(sizes[0]), j)
-    while True:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(tuples, CHUNK)), dtype=np.intp
-        )
-        if flat.size == 0:
-            return
-        yield flat.reshape(-1, j)
+    chunks = (itertools.islice(tuples, CHUNK) for _ in range(0, total, CHUNK))
+    return (np.fromiter(itertools.chain.from_iterable(c), dtype=np.intp).reshape(-1, j) for c in chunks)
 
 
 def _same_surface(surfaces):
@@ -109,7 +111,7 @@ def _slot_weights(surfaces, idx):
     return W
 
 
-def _tuple_blocks(surfaces):
+def _tuple_blocks(surfaces, budget=DEFAULT_BUDGET):
     """Weights (n,), stacked vectors (n, j, d) and the multiplicity of each
     block of a slot-symmetric tuple sum over ``surfaces``.
 
@@ -119,20 +121,21 @@ def _tuple_blocks(surfaces):
     """
     route = "subset" if _same_surface(surfaces) else "product"
     mult = math.factorial(len(surfaces)) if route == "subset" else 1
-    for idx in _index_blocks([s.m for s in surfaces], route):
+    for idx in _index_blocks([s.m for s in surfaces], route, budget):
         V = np.stack([s.vectors[idx[:, k]] for k, s in enumerate(surfaces)], axis=1)
         yield _slot_weights(surfaces, idx), V, mult
 
 
-def _block_table(surfaces, units, A, p):
+def _block_table(surfaces, units, A, p, blocks):
     """Per cover block A: the slot sizes, and over all ordered atom tuples of
     those slots (flat C order, as np.ravel_multi_index gives) the normalized
-    Gram determinants and F = wedge^p."""
+    Gram determinants and F = wedge^p.  ``blocks`` is the product walk over
+    those slots, created (and so checked against the budget) by the caller."""
     sizes = [surfaces[l].m for l in A]
     sub = np.empty(math.prod(sizes))
     F = np.empty_like(sub)
     lo = 0
-    for idx in _index_blocks(sizes):
+    for idx in blocks:
         U = np.stack([units[l][idx[:, k]] for k, l in enumerate(A)], axis=1)
         V = np.stack([surfaces[l].vectors[idx[:, k]] for k, l in enumerate(A)], axis=1)
         hi = lo + idx.shape[0]
@@ -142,23 +145,14 @@ def _block_table(surfaces, units, A, p):
     return sizes, sub, F
 
 
-def _q_sum(surfaces, p):
+def _q_sum(surfaces, p, budget=DEFAULT_BUDGET):
     """Raw j-fold sum (Q_j^p to the power jp), exact enumeration."""
 
     def chunk_sum(W, V, mult):
         dets = gram_dets(V)
         return mult * float(np.sum(W * dets ** (p / 2.0)))
 
-    return math.fsum(chunk_sum(*b) for b in _tuple_blocks(surfaces))
-
-
-def _check_budget(surfaces, budget):
-    total = int(np.prod([s.m for s in surfaces]))
-    if total > budget:
-        raise ValueError(
-            f"tuple space has {total} elements, over the exact-enumeration budget {budget}"
-        )
-    return total
+    return math.fsum(chunk_sum(*b) for b in _tuple_blocks(surfaces, budget))
 
 
 #: the Cauchy-Binet sum is used only when e_j > CB_REL * e_1 * e_{j-1}: closer
@@ -202,8 +196,9 @@ def q_exact(surfaces, j, p, *, budget=DEFAULT_BUDGET) -> float:
     p : float
         Positive exponent.
     budget : int
-        Maximum admissible ordered tuple-space size prod_k m_k, whichever
-        route does the work.
+        Maximum number of tuples the enumeration walks: C(m, j) j-subsets
+        with one surface in every slot, prod_k m_k ordered tuples otherwise.
+        The Cauchy-Binet route walks none and is not bounded.
     """
     j = int(j)
     if j < 1:
@@ -213,12 +208,11 @@ def q_exact(surfaces, j, p, *, budget=DEFAULT_BUDGET) -> float:
     surfaces = _as_surface_list(surfaces, j)
     if j > surfaces[0].d:
         raise ValueError(f"j={j} exceeds dimension d={surfaces[0].d}")
-    _check_budget(surfaces, budget)
     total = None
     if p == 2 and _same_surface(surfaces):
         total = _cauchy_binet_sum(surfaces[0], j)
     if total is None:
-        total = _q_sum(surfaces, p)
+        total = _q_sum(surfaces, p, budget)
     return total ** (1.0 / (j * p))
 
 
@@ -292,6 +286,10 @@ def finner_check(surfaces, cover, p, *, budget=DEFAULT_BUDGET, seed=0):
     once per block atom tuple into tables and read per tuple; each tuple
     still gets its own full Gram determinant, and rho is formed per tuple by
     the same rule as geom_core.cover_factors.
+
+    ``budget`` bounds each walk (see the module docstring); all of them are
+    created before the first determinant, so an over-budget call raises
+    without computing anything.
     """
     if not isinstance(cover, UniformCover):
         raise ValueError("cover must be a UniformCover")
@@ -307,15 +305,19 @@ def finner_check(surfaces, cover, p, *, budget=DEFAULT_BUDGET, seed=0):
     d = surfaces[0].d
     if j > d:
         raise ValueError(f"j={j} exceeds dimension d={d}")
-    _check_budget(surfaces, budget)
+    # rho is not slot-symmetric, but it vanishes on repeated atoms, so one
+    # surface in every slot takes the injective route
+    route = "injective" if _same_surface(surfaces) else "product"
+    walk = _index_blocks([s.m for s in surfaces], route, budget)
+    table_walks = [_index_blocks([surfaces[l].m for l in A], budget=budget) for A in cover.sets]
 
-    lhs = _q_sum(surfaces, p) ** (1.0 / (j * p))
+    lhs = _q_sum(surfaces, p, budget) ** (1.0 / (j * p))
 
     block_Q = []
     block_raw = []
     for A in cover.sets:
         subs = [surfaces[l] for l in A]
-        raw = _q_sum(subs, p)
+        raw = _q_sum(subs, p, budget)
         block_raw.append(raw)
         block_Q.append(raw ** (1.0 / (len(A) * p)))
     classical = 1.0
@@ -332,14 +334,11 @@ def finner_check(surfaces, cover, p, *, budget=DEFAULT_BUDGET, seed=0):
     else:
         units = [unit_directions(s.vectors) for s in surfaces]
         tables = []
-        for A, a, raw in zip(sets, alphas, raw_arr):
-            sizes, sub, F = _block_table(surfaces, units, A, p)
+        for A, a, raw, blocks in zip(sets, alphas, raw_arr, table_walks):
+            sizes, sub, F = _block_table(surfaces, units, A, p, blocks)
             tables.append((A, sizes, sub, (F / raw) ** a))
-        # rho is not slot-symmetric, but it vanishes on repeated atoms, so
-        # one surface in every slot takes the injective route
-        route = "injective" if _same_surface(surfaces) else "product"
         sums, sups = [], []
-        for idx in _index_blocks([s.m for s in surfaces], route):
+        for idx in walk:
             U = np.stack([units[k][idx[:, k]] for k in range(j)], axis=1)
             ratio = np.ones(idx.shape[0])
             subs = []

@@ -163,8 +163,7 @@ def kp_volume(s, p, method="auto", *, n_samples=100_000, seed=0) -> VolumeEstima
             method = "radial_mc"
     if method == "exact":
         if p == 2.0:
-            T = covariance(s).T
-            return VolumeEstimate(ball_volume(s.d) / math.sqrt(float(np.linalg.det(T))), 0.0, "exact")
+            return VolumeEstimate(covariance(s).volume(), 0.0, "exact")
         if p == 1.0:
             return VolumeEstimate(polar_zonotope_volume(projection_body(s)), 0.0, "exact")
         raise ValueError(f"no exact route for p={p}; use method='radial_mc'")

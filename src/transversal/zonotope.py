@@ -17,12 +17,10 @@ from .constants import ConstantsCatalog, ball_volume
 from .geom_core import gram_dets
 from .hypersurface import DiscreteHypersurface, UniformCover, validate_cover
 from .reports import make_report, verdict_leq
-from .transversality import _index_blocks, _q_sum
+from .transversality import DEFAULT_BUDGET, _index_blocks, _q_sum
 
 #: tolerance for rank decisions on generator subsets
 RANK_TOL = 1e-10
-#: cap on the number of determinant subsets in a volume expansion
-SUBSET_BUDGET = 2_000_000
 
 
 class Ball:
@@ -82,21 +80,18 @@ def projection_body(s: DiscreteHypersurface) -> Zonotope:
     return Zonotope(s.d, s.weights[:, None] * s.vectors)
 
 
-def zonotope_volume(z: Zonotope, *, budget=SUBSET_BUDGET) -> float:
+def zonotope_volume(z: Zonotope, *, budget=DEFAULT_BUDGET) -> float:
     """Exact volume 2^d * sum over d-subsets |det of chosen generators|.
 
-    Returns 0 for fewer generators than dimensions; errors when the number of
-    subsets exceeds the budget.
+    Returns 0 for fewer generators than dimensions; errors when the C(m, d)
+    subsets exceed the budget.
     """
     d, m = z.d, z.m
     if m < d:
         return 0.0
-    n_subsets = math.comb(m, d)
-    if n_subsets > budget:
-        raise ValueError(f"{n_subsets} generator subsets exceed the budget {budget}")
     partial = [
         float(np.sum(np.abs(np.linalg.det(z.generators[idx]))))
-        for idx in _index_blocks([m] * d, "subset")
+        for idx in _index_blocks([m] * d, "subset", budget)
     ]
     return (2.0**d) * math.fsum(partial)
 
@@ -160,7 +155,7 @@ def _entry_generators(entry, d):
     return v[None, :], False
 
 
-def mixed_volume(body, multiplicity, entries, *, budget=SUBSET_BUDGET) -> float:
+def mixed_volume(body, multiplicity, entries, *, budget=DEFAULT_BUDGET) -> float:
     """Mixed volume V(body[d-k], Z_1, ..., Z_k) with segment/zonotope entries.
 
     Each entry is a Zonotope (expanded multilinearly over its generators with
@@ -174,7 +169,8 @@ def mixed_volume(body, multiplicity, entries, *, budget=SUBSET_BUDGET) -> float:
     floor makes an exactly dependent tuple's determinant 0, not round-off
     that the RANK_TOL rule could keep); a Ball's shadow is the constant
     omega_{d-k}, and only a Zonotope body computes a shadow per surviving
-    tuple.
+    tuple.  ``budget`` bounds the entry tuples, the product of the entries'
+    generator counts (or, with no entries, the body's volume expansion).
     """
     if isinstance(body, (Ball, Zonotope)):
         d = body.d
@@ -194,12 +190,8 @@ def mixed_volume(body, multiplicity, entries, *, budget=SUBSET_BUDGET) -> float:
         G, doubled = _entry_generators(entry, d)
         gens.append(G)
         doubles += int(doubled)
-    sizes = [G.shape[0] for G in gens]
-    total_tuples = int(np.prod(sizes))
-    if total_tuples > budget:
-        raise ValueError(f"{total_tuples} entry tuples exceed the budget {budget}")
     partial = []
-    for idx in _index_blocks(sizes):
+    for idx in _index_blocks([G.shape[0] for G in gens], budget=budget):
         V = np.stack([G[idx[:, i]] for i, G in enumerate(gens)], axis=1)
         det = gram_dets(V)
         scale = np.prod(np.clip(np.einsum("nkd,nkd->nk", V, V), 1.0, None), axis=1)
@@ -218,7 +210,7 @@ def mixed_volume(body, multiplicity, entries, *, budget=SUBSET_BUDGET) -> float:
     return (2.0**doubles) * math.fsum(partial) / (math.factorial(k) * math.comb(d, k))
 
 
-def bezout_check(body, zonotopes, cover, *, budget=SUBSET_BUDGET, seed=0):
+def bezout_check(body, zonotopes, cover, *, budget=DEFAULT_BUDGET, seed=0):
     """Bezout-type mixed-volume bound under an s-uniform counting cover.
 
     With sigma = {0..j-1} indexing the zonotopes, r cover sets A_i of sizes

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from transversal import inequality_lab
+from transversal.cli import main
 from transversal.hypersurface import random_surface, save_surface
 from transversal.inequality_lab import (
     CHECK_IDS,
@@ -179,6 +180,51 @@ def test_suite_repeat_and_user_surfaces(tmp_path):
     result = run_suite(config)
     assert result.summary["total"] == 3  # 2 generated repeats + 1 user surface
     assert result.ok
+
+
+@pytest.mark.parametrize("surface", [5, random_surface(2, 3, seed=1).to_dict()])
+def test_suite_entry_surface_must_be_a_path(surface, tmp_path, capsys):
+    config = {"checks": [{"id": "SANTALO", "surface": surface}]}
+    with pytest.raises(ValueError, match='"surface" must be a path'):
+        run_suite(config)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["suite", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "check_id, instance, params",
+    [
+        ("SANTALO", 5, {}),
+        ("FINNER_RHO", 7, {}),
+        ("BEZOUT", [1, 2], {}),
+        ("BEZOUT", random_surface(3, 5, seed=2), {}),
+        ("ELLIPSOID_LW", random_surface(3, 5, seed=2), {}),
+        ("NU_MEASURE", random_surface(3, 5, seed=2), {}),
+        ("REVERSE_LW_ZONOID", random_surface(3, 5, seed=2), {"variant": "zonoid"}),
+    ],
+)
+def test_instance_a_check_cannot_take_is_a_precondition_failure(check_id, instance, params):
+    report = run_check(check_id, instance, params)
+    assert report.verdict == "inconclusive"
+    assert report.details["precondition_failure"] is True
+    assert "takes" in report.details["error"]
+
+
+def test_suite_surfaces_run_against_checks_that_take_none(tmp_path, capsys):
+    path = tmp_path / "user.json"
+    save_surface(random_surface(3, 5, seed=8), path)
+    checks = [{"id": "ELLIPSOID_LW"}, {"id": "NU_MEASURE"}, {"id": "BEZOUT"},
+              {"id": "REVERSE_LW_ZONOID", "params": {"variant": "zonoid"}}]
+    config = {"seed": 2, "checks": checks, "surfaces": [str(path)]}
+    result = run_suite(config)
+    # each entry: its generated instance, then the user surface it cannot take
+    assert [r.verdict for r in result.reports] == ["pass", "inconclusive"] * 4
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["suite", str(cfg_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_suite_json_reports_byte_identical(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from transversal import transversality
+from transversal.cli import main
 from transversal.geom_core import gram_dets
 from transversal.hypersurface import (
     DiscreteHypersurface,
@@ -69,7 +70,52 @@ def test_q_exact_validation():
     with pytest.raises(ValueError):
         q_exact(s, 2, 0.0)
     with pytest.raises(ValueError):
-        q_exact(s, 3, 1.0, budget=10)  # 64 tuples > 10
+        q_exact(s, 3, 1.0, budget=3)  # C(4, 3) = 4 subsets > 3
+    assert q_exact(s, 3, 1.0, budget=4) == q_exact(s, 3, 1.0)
+
+
+def test_budget_counts_ordered_tuples_of_distinct_slots():
+    s = random_surface(3, 4, seed=0)
+    slots = _distinct_slots(s, 3)  # product route: 4^3 = 64 ordered tuples
+    with pytest.raises(ValueError):
+        q_exact(slots, 3, 1.0, budget=63)
+    assert q_exact(slots, 3, 1.0, budget=64) == q_exact(slots, 3, 1.0)
+
+
+def test_cauchy_binet_walks_nothing_and_its_fallback_is_budgeted():
+    s = random_surface(4, 9, seed=4)
+    assert q_exact(s, 3, 2.0, budget=0) == q_exact(s, 3, 2.0)
+    flat = DiscreteHypersurface(3, [(1.0, [1.0, 0.0, 0.0]), (1.0, [0.0, 1.0, 0.0]), (2.0, [1.0, 1.0, 0.0])])
+    with pytest.raises(ValueError):  # rank deficient: falls back to C(3, 3) = 1 subset
+        q_exact(flat, 3, 2.0, budget=0)
+    assert q_exact(flat, 3, 2.0, budget=1) == 0.0
+
+
+def _no_determinants(V):
+    raise AssertionError("a determinant was computed before the budget check")
+
+
+@pytest.mark.parametrize(
+    "m, over",
+    [(5, 59),  # the refinement pass walks 5 * 4 * 3 = 60 ordered distinct tuples
+     (3, 8)],  # each triangle block table holds 3^2 = 9 entries, the pass walks 6
+)
+def test_finner_budget_is_checked_before_any_determinant(m, over, monkeypatch):
+    s = random_surface(3, m, seed=m)
+    triangle = UniformCover(3, [(0, 1), (1, 2), (0, 2)], alphas=(0.5,) * 3)
+    with pytest.raises(ValueError):
+        finner_check([s] * 3, triangle, 1.0, budget=over)
+    at_budget = finner_check([s] * 3, triangle, 1.0, budget=over + 1)
+    assert at_budget.to_dict() == finner_check([s] * 3, triangle, 1.0).to_dict()
+    monkeypatch.setattr(transversality, "gram_dets", _no_determinants)
+    with pytest.raises(ValueError):
+        finner_check([s] * 3, triangle, 1.0, budget=over)
+
+
+def test_q_cli_at_p2_runs_far_past_the_ordered_tuple_count(capsys):
+    argv = ["q", "--surface", "random", "--d", "3", "--m", "10000", "--p", "2"]
+    assert main(argv) == 0
+    assert "Q = " in capsys.readouterr().out
 
 
 def test_q_montecarlo_consistent_with_exact():

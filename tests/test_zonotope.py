@@ -52,6 +52,21 @@ def test_zonotope_volume_budget():
         zonotope_volume(z, budget=100)
 
 
+def test_zonotope_volume_budget_counts_subsets():
+    z = Zonotope(3, np.random.default_rng(2).normal(size=(7, 3)))  # C(7, 3) = 35
+    with pytest.raises(ValueError):
+        zonotope_volume(z, budget=34)
+    assert zonotope_volume(z, budget=35) == zonotope_volume(z)
+
+
+def test_mixed_volume_budget_counts_entry_tuples():
+    rng = np.random.default_rng(3)
+    entries = [Zonotope(3, rng.normal(size=(4, 3))), Zonotope(3, rng.normal(size=(5, 3)))]
+    with pytest.raises(ValueError):
+        mixed_volume(Ball(3), 1, entries, budget=19)  # 4 * 5 = 20 entry tuples
+    assert mixed_volume(Ball(3), 1, entries, budget=20) == mixed_volume(Ball(3), 1, entries)
+
+
 def test_mixed_volume_of_body_alone_honours_budget():
     z = Zonotope(3, np.ones((40, 3)) + np.arange(120).reshape(40, 3))
     with pytest.raises(ValueError):
