@@ -262,7 +262,8 @@ def build_parser():
     sp = sub.add_parser("vis", help="visibility functional with error bar")
     _surface_flags(sp)
     sp.add_argument("--p", type=float, default=1.0)
-    sp.add_argument("--method", default="auto", choices=("auto", "exact", "radial_mc"))
+    methods = ("auto", "exact", "quadrature", "radial_mc")
+    sp.add_argument("--method", default="auto", choices=methods)
     sp.add_argument("--samples", type=int, default=100_000)
     sp.set_defaults(fn=_cmd_vis)
 

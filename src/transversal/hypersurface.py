@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,7 +275,10 @@ def surface_from_dict(data):
 
 
 def load_surface(path):
-    """Load a surface from JSON; rejects NaN/Inf and nonpositive weights."""
+    """Load a surface from the JSON file at ``path`` (a ``str`` or
+    ``os.PathLike``); rejects NaN/Inf and nonpositive weights."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValueError(f"a surface path must be a str or os.PathLike, not {type(path).__name__}")
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh, parse_constant=_reject_constant)
     return surface_from_dict(data)

@@ -36,7 +36,7 @@ from .transversality import (
     jp_bound_check,
     q_exact,
 )
-from .volumes import EllipsoidBody, santalo_check, sigma2_plane, vis_p
+from .volumes import EllipsoidBody, _sphere_rule, santalo_check, sigma2_plane, vis_p
 from .zonotope import (
     Ball,
     Zonotope,
@@ -171,7 +171,7 @@ def _vis_estimate(s, p, params):
 
 
 def _check_finner_rho(instance, params):
-    d = int(params.get("d", 3))
+    d = instance.d if isinstance(instance, DiscreteHypersurface) else int(params.get("d", 3))
     j = int(params.get("j", min(3, d)))
     if _list_of(instance, DiscreteHypersurface):
         surfaces = list(instance)
@@ -725,26 +725,6 @@ def _check_vis_sandwich(instance, params):
             "relation": "sandwich",
         },
     )
-
-
-def _sphere_rule(d, n_polar, n_azimuth):
-    """Product rule for the normalized measure on S^{d-1}, d in {2, 3}.
-
-    Nodes are cos(phi) e_1 + sin(phi) xi, with phi Gauss-Legendre on
-    [0, pi/2] and on [pi/2, pi] (the kink of |<e_1, theta>| is at pi/2) and
-    xi equally spaced on the unit circle of e_1^perp (the two points +-e_2
-    when d = 2).  Weights are sin^{d-2}(phi), normalized by |S^{d-1}|.
-    """
-    t, w = np.polynomial.legendre.leggauss(max(n_polar // 2, 30))
-    phi = np.concatenate([t + 1.0, t + 3.0]) * (math.pi / 4.0)
-    w_phi = np.concatenate([w, w]) * (math.pi / 4.0) * np.sin(phi) ** (d - 2)
-    n_xi = n_azimuth if d == 3 else 2
-    psi = np.arange(n_xi) * (2.0 * math.pi / n_xi)
-    xi = np.stack([np.cos(psi), np.sin(psi)], axis=1)[:, : d - 1]
-    nodes = np.column_stack([np.repeat(np.cos(phi), n_xi), np.kron(np.sin(phi)[:, None], xi)])
-    # each azimuth carries |S^{d-2}| / n_xi
-    scale = (d - 1) * ball_volume(d - 1) / (n_xi * d * ball_volume(d))
-    return nodes, np.repeat(w_phi, n_xi) * scale
 
 
 def _check_nu_measure(instance, params):

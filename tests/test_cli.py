@@ -56,6 +56,16 @@ def test_vis_exact(capsys):
     assert "vis = 0.5641895835" in out
 
 
+def test_vis_quadrature(capsys):
+    # the l4 ball: volume 3.7081493546027438, so vis = 0.5193036690
+    argv = ["vis", "--surface", "axis-cross", "--p", "4", "--method", "quadrature"]
+    code, out, _ = run(capsys, *argv, "--d", "2")
+    assert code == 0
+    assert "vis = 0.5193036690" in out and "(quadrature)" in out
+    code, _, err = run(capsys, *argv, "--d", "4")
+    assert code == 2 and "d = 2 and 3" in err
+
+
 def test_lewis_converges(capsys):
     code, out, _ = run(
         capsys, "lewis", "--surface", "random", "--d", "2", "--m", "5", "--seed", "1", "--p", "2"

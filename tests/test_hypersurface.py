@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -147,3 +148,22 @@ def test_save_round_trip_is_exact(tmp_path):
     assert np.array_equal(s.vectors, t.vectors)
     data = json.loads(path.read_text())
     assert data["d"] == 4
+
+
+@pytest.mark.parametrize("path", [None, 2.5, b"surface.json", ["s.json"]])
+def test_load_surface_takes_only_a_path(path):
+    with pytest.raises(ValueError, match="str or os.PathLike"):
+        load_surface(path)
+
+
+def test_load_surface_leaves_a_file_descriptor_alone():
+    # an integer used to reach open(), which read the descriptor and closed it
+    r, w = os.pipe()
+    os.write(w, b'{"d": 1, "atoms": [{"w": 1.0, "v": [1.0]}]}')
+    os.close(w)
+    try:
+        with pytest.raises(ValueError):
+            load_surface(r)
+        os.fstat(r)  # still open
+    finally:
+        os.close(r)

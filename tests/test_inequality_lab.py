@@ -331,3 +331,10 @@ def test_make_report_margin_and_default_verdict():
     r = make_report("X", ("i",), 1.0, 2.0, constant=3.0, seed=4)
     assert isinstance(r, CheckReport)
     assert r.margin == 1.0 and r.verdict == "pass" and r.seed == 4
+
+
+@pytest.mark.parametrize("d, j", [(2, 2), (4, 3)])
+def test_finner_rho_takes_j_from_the_given_surface(d, j):
+    report = run_check("FINNER_RHO", random_surface(d, 4, seed=0))
+    assert report.verdict == "pass"
+    assert len(report.details["block_Q"]) == j  # one cover block per slot

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transversal.constants import ConstantsCatalog, ball_volume
 from transversal.hypersurface import (
@@ -10,9 +12,10 @@ from transversal.hypersurface import (
     make_sheared_cube,
     random_surface,
 )
-from transversal.transversality import q_exact
+from transversal.transversality import DEFAULT_BUDGET, q_exact
 from transversal.volumes import (
     EllipsoidBody,
+    _quadrature_count,
     covariance,
     kp_norm,
     kp_volume,
@@ -154,3 +157,128 @@ def test_sigma2_dual_routes_agree():
         k = int(rng.integers(1, d + 1))
         F = q[:, :k].T
         assert sigma2_plane(s, F) == pytest.approx(sigma2_plane_direct(s, F), rel=1e-10)
+
+
+# -- quadrature route ---------------------------------------------------------------
+
+
+def _quadrature_instances(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d = int(rng.integers(2, 4))
+        yield random_surface(d, int(rng.integers(d, 10)), int(rng.integers(0, 10_000)))
+
+
+def test_quadrature_matches_exact_routes():
+    checked = 0
+    for s in _quadrature_instances(48, seed=901):
+        for p in (1.0, 2.0):
+            if p == 1.0 and s.m > 8:
+                continue
+            exact = kp_volume(s, p, "exact")
+            quad = kp_volume(s, p, "quadrature")
+            assert quad.method == "quadrature" and quad.n_samples == 0
+            assert quad.std_error > 0.0
+            assert quad.value == pytest.approx(exact.value, rel=1e-12, abs=0.0), (s.d, s.m, p)
+            checked += 1
+    assert checked >= 80
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+def test_quadrature_axis_cross_is_the_lp_ball(d, p):
+    quad = kp_volume(make_axis_cross(d), p, "quadrature")
+    assert abs(quad.value - ConstantsCatalog.lp_ball_volume(d, p)) <= quad.std_error
+
+
+def test_quadrature_agrees_with_radial_mc():
+    for i, s in enumerate(_quadrature_instances(8, seed=902)):
+        p = (1.5, 3.0)[i % 2]
+        quad = kp_volume(s, p, "quadrature")
+        mc = kp_volume(s, p, "radial_mc", n_samples=200_000, seed=i)
+        assert abs(mc.value - quad.value) <= 4.0 * mc.std_error
+
+
+def test_quadrature_ignores_samples_and_seed():
+    s = random_surface(3, 6, seed=5)
+    a = kp_volume(s, 1.5, n_samples=100, seed=1)
+    b = kp_volume(s, 1.5, "quadrature", n_samples=10**6, seed=2)
+    assert a == b and a.method == "quadrature"
+
+
+def _within_bars(a, b):
+    return abs(a.value - b.value) <= a.std_error + b.std_error
+
+
+@given(
+    d=st.integers(2, 3),
+    m=st.integers(3, 8),
+    p=st.floats(1.0, 4.0),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=30)
+def test_quadrature_orthogonal_invariance(d, m, p, seed):
+    s = random_surface(d, m, seed)
+    R = np.linalg.qr(np.random.default_rng(seed).normal(size=(d, d)))[0]
+    assert _within_bars(kp_volume(s, p, "quadrature"), kp_volume(s.map(R), p, "quadrature"))
+
+
+@given(
+    d=st.integers(2, 3),
+    m=st.integers(3, 8),
+    p=st.floats(1.0, 4.0),
+    c=st.floats(0.2, 5.0),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=30)
+def test_quadrature_homogeneity(d, m, p, c, seed):
+    s = random_surface(d, m, seed)
+    a = kp_volume(s, p, "quadrature")
+    b = kp_volume(s.map(c * np.eye(d)), p, "quadrature")
+    assert abs(b.value - c ** (-d) * a.value) <= b.std_error + c ** (-d) * a.std_error
+
+
+@given(
+    d=st.integers(2, 3),
+    m=st.integers(3, 8),
+    p=st.floats(1.0, 4.0),
+    split=st.floats(0.05, 0.95),
+    stretch=st.floats(0.5, 2.0),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=30)
+def test_quadrature_atom_splitting(d, m, p, split, stretch, seed):
+    # (w, v) -> (split w, v) + ((1 - split) w / stretch^p, stretch v): same norm
+    s = random_surface(d, m, seed)
+    atoms = list(zip(s.weights, s.vectors))
+    w, v = atoms.pop(seed % m)
+    atoms += [(split * w, v), ((1.0 - split) * w / stretch**p, stretch * v)]
+    t = DiscreteHypersurface(d, atoms)
+    assert _within_bars(kp_volume(s, p, "quadrature"), kp_volume(t, p, "quadrature"))
+
+
+def test_auto_takes_quadrature_within_the_budget_and_mc_above():
+    assert kp_volume(random_surface(3, 9, seed=1), 1.5).method == "quadrature"
+    assert kp_volume(random_surface(3, 9, seed=1), 1.0).method == "quadrature"  # m > 8
+    assert kp_volume(random_surface(2, 40, seed=1), 3.0).method == "quadrature"
+    # d = 3, m = 12: (C(12, 2) + 8) * 32 * 13 * 32 * 12 node-atom pairs, over 10^7
+    over = random_surface(3, 12, seed=1)
+    assert _quadrature_count(3, 12) > DEFAULT_BUDGET >= _quadrature_count(3, 11)
+    est = kp_volume(over, 1.5, n_samples=1_000, seed=3)
+    assert est.method == "radial_mc" and est.n_samples == 1_000
+    assert kp_volume(random_surface(4, 6, seed=1), 1.5, n_samples=1_000).method == "radial_mc"
+
+
+def test_explicit_quadrature_refuses_d4_and_over_budget():
+    with pytest.raises(ValueError, match="d = 2 and 3"):
+        kp_volume(random_surface(4, 6, seed=1), 1.5, "quadrature")
+    with pytest.raises(ValueError, match="over the budget"):
+        kp_volume(random_surface(3, 12, seed=1), 1.5, "quadrature")
+    with pytest.raises(ValueError, match="span"):
+        flat = DiscreteHypersurface(3, [(1.0, [1.0, 0, 0]), (1.0, [0, 1.0, 0])] * 2)
+        kp_volume(flat, 1.5, "quadrature")
+
+
+def test_santalo_keeps_radial_mc_above_the_polar_limit():
+    report = santalo_check(random_surface(2, 9, seed=3), n_samples=20_000)
+    assert report.details["volume_method"] == "radial_mc"
