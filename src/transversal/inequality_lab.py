@@ -6,6 +6,10 @@ are checked against a pinned residual tolerance.  Checks whose printed
 constant disagrees with the constant their own derivation chain produces
 assert the derived form and report the printed form's status in ``details``
 without asserting it.
+
+Each reported quantity comes from the one library kernel that defines it
+(``kp_volume``, ``EllipsoidBody``, ``covariance``, ``lewis._norm_a``,
+``q_exact``); ``run_check`` stamps every report with ``params["seed"]``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .hypersurface import (
     make_axis_cross,
     random_surface,
 )
-from .lewis import det_u_lower_bound, lewis_solve
+from .lewis import _norm_a, det_u_lower_bound, lewis_solve
 from .reports import CheckReport, make_report, verdict_leq
 from .transversality import (
     finner_check,
@@ -36,7 +40,14 @@ from .transversality import (
     jp_bound_check,
     q_exact,
 )
-from .volumes import EllipsoidBody, _sphere_rule, santalo_check, sigma2_plane, vis_p
+from .volumes import (
+    EllipsoidBody,
+    _sphere_rule,
+    covariance,
+    santalo_check,
+    sigma2_plane,
+    vis_p,
+)
 from .zonotope import (
     Ball,
     Zonotope,
@@ -99,6 +110,12 @@ def _square_matrix(instance):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"this check takes a square matrix, not {type(instance).__name__}")
     return M
+
+
+def _ellipsoid(instance, M):
+    """``instance`` when it is an EllipsoidBody, else the ellipsoid
+    {x : x^T M^{-1} x <= 1} with support form M."""
+    return instance if isinstance(instance, EllipsoidBody) else EllipsoidBody(np.linalg.inv(M))
 
 
 def _random_rotation(d, rng):
@@ -165,6 +182,11 @@ def _vis_estimate(s, p, params):
     return vis_p(s, p, method, n_samples=n, seed=int(params.get("seed", 0)) + 7)
 
 
+def _vis_upper_constant(d, p):
+    """c_dp^(1/p) / omega_d^(1/d), the constant of vis_p <= C Q_1^p."""
+    return ConstantsCatalog.c_dp(d, p) ** (1.0 / p) / ball_volume(d) ** (1.0 / d)
+
+
 # ---------------------------------------------------------------------------
 # check handlers
 # ---------------------------------------------------------------------------
@@ -191,7 +213,7 @@ def _check_finner_rho(instance, params):
     else:
         cover = UniformCover.singletons(j)
     p = float(params.get("p", 1.0))
-    return finner_check(surfaces, cover, p, seed=int(params.get("seed", 0)))
+    return finner_check(surfaces, cover, p)
 
 
 def _check_bezout(instance, params):
@@ -211,12 +233,11 @@ def _check_bezout(instance, params):
         cover = UniformCover(j, params["cover_sets"], s=int(params.get("s", 1)))
     else:
         cover = UniformCover(j, [(i,) for i in range(j)], s=1)
-    return bezout_check(Ball(d), zonotopes, cover, seed=int(params.get("seed", 0)))
+    return bezout_check(Ball(d), zonotopes, cover)
 
 
 def _check_maximizer(instance, params):
     p = float(params.get("p", 1.0))
-    seed = int(params.get("seed", 0))
     mu = _get_surface(instance, params, unit=True, probability=True)
     d = mu.d
     value = i_p(mu, p)
@@ -230,7 +251,6 @@ def _check_maximizer(instance, params):
             uniform,
             constant=uniform,
             constant_formula="I_p(uniform)",
-            seed=seed,
             details={"regime": "p<=2", "p": p, "relation": "leq"},
         )
     else:
@@ -249,7 +269,6 @@ def _check_maximizer(instance, params):
             cross_value,
             constant=cross_value,
             constant_formula="I_p(four-point) = 1/2",
-            seed=seed,
             details={
                 "regime": "p>2 (uniform not maximal)",
                 "p": p,
@@ -299,7 +318,6 @@ def _check_affine_lw(instance, params):
         rhs,
         constant=bl2,
         constant_formula="BL2 = prod|wedge sigma_i|^{p_i}/|wedge basis|",
-        seed=int(params.get("seed", 0)),
         details={"cover_sets": sets, "weights": weights, "shadows": shadows, "relation": "leq"},
     )
 
@@ -332,7 +350,6 @@ def _check_vis_p1_upper(instance, params):
         constant=b_d,
         constant_formula="b_d = (d!/(2^d prod d_i!))^(1/d)",
         verdict=verdict,
-        seed=int(params.get("seed", 0)),
         details={
             "dims": dims,
             "frame_margins": frame_margins,
@@ -342,13 +359,16 @@ def _check_vis_p1_upper(instance, params):
     )
 
 
-def _lewis_details(res):
-    """Solver diagnostics carried by every report built on a Lewis solve."""
-    return {
-        "lewis_converged": res.converged,
-        "lewis_defect": res.defect,
-        "lewis_iterations": res.iterations,
-    }
+def _on_lewis(report, res):
+    """Attach the solver diagnostics to a report built on a Lewis solve, and
+    mark it inconclusive when the solve did not converge: a frame or witness
+    from an unconverged solve is not a Lewis one."""
+    report.details.update(
+        lewis_converged=res.converged, lewis_defect=res.defect, lewis_iterations=res.iterations
+    )
+    if not res.converged:
+        report.verdict = "inconclusive"
+    return report
 
 
 def _lewis_eigenframe(s, p=1.0):
@@ -369,18 +389,16 @@ def _check_vis_p1_lower_lewis(instance, params):
     for A in sets:
         prod_sigma *= sigma_plane(s, frame[list(A)])
     lhs = c_d * prod_sigma ** (1.0 / d)
-    return make_report(
+    report = make_report(
         "VIS_P1_LOWER_LEWIS",
         (s.to_dict(), dims),
         lhs,
         vis,
         constant=c_d,
         constant_formula="c_d = (1/(2 sqrt d))(d!/prod sqrt(d_i!))^(1/d)",
-        # a frame from an unconverged solve is not a Lewis frame
-        verdict=None if res.converged else "inconclusive",
-        seed=int(params.get("seed", 0)),
-        details={"dims": dims, **_lewis_details(res), "relation": "leq"},
+        details={"dims": dims, "relation": "leq"},
     )
+    return _on_lewis(report, res)
 
 
 def _check_reverse_lw_zonoid(instance, params):
@@ -409,57 +427,22 @@ def _check_reverse_lw_zonoid(instance, params):
         lhs *= shadow
     constant = ConstantsCatalog.reverse_lw(d, dims)
     rhs = constant * vol
-    return make_report(
+    report = make_report(
         "REVERSE_LW_ZONOID",
         (s.to_dict(), dims, variant),
         lhs,
         rhs,
         constant=constant,
         constant_formula="d^(d/2)/prod sqrt(d_j!)",
-        verdict=None if res.converged else "inconclusive",
-        seed=int(params.get("seed", 0)),
         details={
             "dims": dims,
             "variant": variant,
             "volume": vol,
             "shadows": shadows,
-            **_lewis_details(res),
             "relation": "leq",
         },
     )
-
-
-def _ellipsoid_bounds(M, W, sets, weights):
-    """All pieces of the shadow-product sandwich for the ellipsoid with
-    support form M (body {x : x^T M^{-1} x <= 1})."""
-    d = M.shape[0]
-    dims = [len(A) for A in sets]
-    vol = ball_volume(d) * math.sqrt(float(np.linalg.det(M)))
-    bl2 = _bl2(W, sets, weights)
-    Minv = np.linalg.inv(M)
-    proj_prod = 1.0
-    sect_prod = 1.0
-    for A, p_j in zip(sets, weights):
-        F = _orthonormal_span(W[list(A)])
-        k = F.shape[0]
-        proj = ball_volume(k) * math.sqrt(float(np.linalg.det(F @ M @ F.T)))
-        sect = ball_volume(k) / math.sqrt(float(np.linalg.det(F @ Minv @ F.T)))
-        proj_prod *= proj**p_j
-        sect_prod *= sect**p_j
-    C_ell = ConstantsCatalog.big_c_ell(d, dims, weights)
-    c_ell = ConstantsCatalog.c_ell(d, dims, weights)
-    return {
-        "volume": vol,
-        "bl2": bl2,
-        "projection_product": proj_prod,
-        "section_product": sect_prod,
-        "upper_rhs": C_ell * bl2 * proj_prod,
-        "printed_lower_lhs": (c_ell / bl2) * proj_prod,
-        "section_lower_lhs": (c_ell / bl2) * sect_prod,
-        "C_ell": C_ell,
-        "c_ell": c_ell,
-        "dims": dims,
-    }
+    return _on_lewis(report, res)
 
 
 def _check_ellipsoid_lw(instance, params):
@@ -472,6 +455,8 @@ def _check_ellipsoid_lw(instance, params):
         d = M.shape[0]
     if params.get("diagonal"):
         M = np.diag(np.diag(M))
+        instance = None  # the diagonal part replaces a given body
+    E = _ellipsoid(instance, M)
     if params.get("basis") is not None:
         W = np.asarray(params["basis"], dtype=float)
     elif params.get("oblique", True) and not params.get("diagonal"):
@@ -481,11 +466,21 @@ def _check_ellipsoid_lw(instance, params):
     else:
         W = np.eye(d)
     sets, weights = _weighted_cover(d, rng, params)
-    pieces = _ellipsoid_bounds(M, W, sets, weights)
-    vol = pieces["volume"]
-    upper_ok = verdict_leq(vol, pieces["upper_rhs"]) == "pass"
-    section_ok = verdict_leq(pieces["section_lower_lhs"], vol) == "pass"
-    printed_ok = verdict_leq(pieces["printed_lower_lhs"], vol) == "pass"
+    dims = [len(A) for A in sets]
+    vol = E.volume()
+    bl2 = _bl2(W, sets, weights)
+    proj_prod = sect_prod = 1.0
+    for A, p_j in zip(sets, weights):
+        F = _orthonormal_span(W[list(A)])
+        proj_prod *= E.shadow_volume(F) ** p_j
+        sect_prod *= E.section_volume(F) ** p_j
+    C_ell = ConstantsCatalog.big_c_ell(d, dims, weights)
+    c_ell = ConstantsCatalog.c_ell(d, dims, weights)
+    upper_rhs = C_ell * bl2 * proj_prod
+    printed_lower_lhs = (c_ell / bl2) * proj_prod
+    section_lower_lhs = (c_ell / bl2) * sect_prod
+    upper_ok = verdict_leq(vol, upper_rhs) == "pass"
+    section_ok = verdict_leq(section_lower_lhs, vol) == "pass"
     verdict = "pass" if (upper_ok and section_ok) else "fail"
     details = {
         "upper_ok": upper_ok,
@@ -494,18 +489,18 @@ def _check_ellipsoid_lw(instance, params):
         # controls central sections, not shadows, and the translation step
         # fails on correlated forms (e.g. M = [[1, .9], [.9, 1]] with the
         # coordinate partition).  Evaluated and reported, not asserted.
-        "printed_lower_lhs": pieces["printed_lower_lhs"],
-        "printed_lower_ok": printed_ok,
-        "section_lower_lhs": pieces["section_lower_lhs"],
-        "projection_product": pieces["projection_product"],
-        "section_product": pieces["section_product"],
-        "bl2": pieces["bl2"],
-        "c_ell": pieces["c_ell"],
-        "dims": pieces["dims"],
+        "printed_lower_lhs": printed_lower_lhs,
+        "printed_lower_ok": verdict_leq(printed_lower_lhs, vol) == "pass",
+        "section_lower_lhs": section_lower_lhs,
+        "projection_product": proj_prod,
+        "section_product": sect_prod,
+        "bl2": bl2,
+        "c_ell": c_ell,
+        "dims": dims,
         "relation": "sandwich (upper + section lower asserted)",
     }
     if params.get("diagonal") and params.get("basis") is None:
-        ratio = pieces["upper_rhs"] / vol
+        ratio = upper_rhs / vol
         details["upper_equality_ratio"] = ratio
         if abs(ratio - 1.0) > 1e-10:
             verdict = "fail"
@@ -513,11 +508,10 @@ def _check_ellipsoid_lw(instance, params):
         "ELLIPSOID_LW",
         (M, W, sets, weights),
         vol,
-        pieces["upper_rhs"],
-        constant=pieces["C_ell"],
+        upper_rhs,
+        constant=C_ell,
         constant_formula="C_ell*BL2",
         verdict=verdict,
-        seed=int(params.get("seed", 0)),
         details=details,
     )
 
@@ -526,11 +520,7 @@ def _check_vis_p2_q(instance, params):
     rng = _rng(params)
     s = _get_surface(instance, params, m=7)
     d = s.d
-    T = (s.weights[:, None] * s.vectors).T @ s.vectors
-    evals, evecs = np.linalg.eigh(T)
-    if evals[0] <= 1e-12 * float(np.trace(T)):
-        raise ValueError("surface must span R^d")
-    frame = evecs.T  # eigenbasis rows of the covariance form
+    frame = np.linalg.eigh(covariance(s).T)[1].T  # eigenbasis rows of the covariance form
     vis2 = vis_p(s, 2.0, "exact").value
     axis_prod = 1.0
     for i in range(d):
@@ -574,7 +564,6 @@ def _check_vis_p2_q(instance, params):
         constant=derived_const,
         constant_formula="((d!)^(1/2) omega_d)^(1/d)",
         verdict=verdict,
-        seed=int(params.get("seed", 0)),
         details={
             "identity_residual": identity_residual,
             "identity_ok": identity_ok,
@@ -601,8 +590,7 @@ def _check_vis_p_upper(instance, params):
     d = s.d
     vest = _vis_estimate(s, p, params)
     q1p = q_exact(s, 1, p)
-    c_dp = ConstantsCatalog.c_dp(d, p)
-    constant = c_dp ** (1.0 / p) / ball_volume(d) ** (1.0 / d)
+    constant = _vis_upper_constant(d, p)
     rhs = constant * q1p
     return make_report(
         "VIS_P_UPPER",
@@ -612,7 +600,6 @@ def _check_vis_p_upper(instance, params):
         constant=constant,
         constant_formula="c_dp^(1/p)/omega_d^(1/d)",
         mc_error=vest.std_error,
-        seed=int(params.get("seed", 0)),
         details={
             "p": p,
             "q_1_p": q1p,
@@ -628,8 +615,7 @@ def _q_inf_a_pieces(s, p):
     q = q_exact(s, d, p)
     res = lewis_solve(s, p)
     det_u = float(np.linalg.det(res.u))
-    A0 = res.u / det_u ** (1.0 / d)
-    a0 = float(np.sum(s.weights * np.linalg.norm(s.vectors @ A0.T, axis=1) ** p)) ** (1.0 / p)
+    a0 = _norm_a(s, res.u / det_u ** (1.0 / d), p)
     upper_const = (d**d / math.factorial(d)) ** (1.0 / (min(p, 2.0) * d))
     printed_const = (d**d / math.factorial(d)) ** (1.0 / (2.0 * d))
     return q, res, det_u, a0, upper_const, printed_const
@@ -645,18 +631,14 @@ def _check_q_inf_a(instance, params):
     printed_ok = verdict_leq(a0, printed_const * q) == "pass"
     det_bound_printed = math.sqrt(math.factorial(d) / d**d) * q ** (-float(d))
     det_bound_corrected = det_u_lower_bound(d, p, q)
-    verdict = "pass" if (lower_ok and upper_ok) else "fail"
-    if not res.converged:
-        verdict = "inconclusive"  # the witness a0 is built from the solver's u
-    return make_report(
+    report = make_report(
         "Q_INF_A",
         (s.to_dict(), p),
         a0,
         upper_const * q,
         constant=upper_const,
         constant_formula="(d^d/d!)^(1/(min(p,2) d))",
-        verdict=verdict,
-        seed=int(params.get("seed", 0)),
+        verdict="pass" if (lower_ok and upper_ok) else "fail",
         details={
             "p": p,
             "q_d_p": q,
@@ -672,11 +654,11 @@ def _check_q_inf_a(instance, params):
             "det_lower_printed": det_bound_printed,
             "det_lower_corrected": det_bound_corrected,
             "det_printed_ok": bool(abs(det_u) + 1e-8 * det_bound_printed >= det_bound_printed),
-            **_lewis_details(res),
             "equality_gap_upper": abs(a0 - upper_const * q),
             "relation": "sandwich",
         },
     )
+    return _on_lewis(report, res)
 
 
 def _check_vis_sandwich(instance, params):
@@ -686,8 +668,7 @@ def _check_vis_sandwich(instance, params):
     q, res, det_u, a0, upper_const, printed_const = _q_inf_a_pieces(s, p)
     vest = _vis_estimate(s, p, params)
     c0 = ConstantsCatalog.c0(d, p)
-    c_dp = ConstantsCatalog.c_dp(d, p)
-    step = c_dp ** (1.0 / p) / ball_volume(d) ** (1.0 / d)
+    step = _vis_upper_constant(d, p)
     upper_constant = step * upper_const
     printed_upper_constant = step * printed_const
     lower_verdict = verdict_leq(c0 * q, vest.value, vest.std_error)
@@ -697,9 +678,7 @@ def _check_vis_sandwich(instance, params):
         verdict = "pass"
     elif lower_verdict != "fail" and upper_verdict != "fail":
         verdict = "inconclusive"
-    if not res.converged:
-        verdict = "inconclusive"
-    return make_report(
+    report = make_report(
         "VIS_SANDWICH",
         (s.to_dict(), p),
         vest.value,
@@ -708,7 +687,6 @@ def _check_vis_sandwich(instance, params):
         constant_formula="c_dp^(1/p)/omega_d^(1/d) * (d^d/d!)^(1/(min(p,2) d))",
         mc_error=vest.std_error,
         verdict=verdict,
-        seed=int(params.get("seed", 0)),
         details={
             "p": p,
             "q_d_p": q,
@@ -721,10 +699,10 @@ def _check_vis_sandwich(instance, params):
             "printed_upper_constant": printed_upper_constant,
             "printed_upper_ok": verdict_leq(vest.value, printed_upper_constant * q, vest.std_error)
             != "fail",
-            **_lewis_details(res),
             "relation": "sandwich",
         },
     )
+    return _on_lewis(report, res)
 
 
 def _check_nu_measure(instance, params):
@@ -745,24 +723,23 @@ def _check_nu_measure(instance, params):
         M = R @ np.diag(rng.uniform(0.5, 2.0, size=d)) @ R.T
     if d not in (2, 3):
         raise ValueError("NU_MEASURE supports d = 2 or 3")
+    E = _ellipsoid(instance, M)
     nodes, weights = _sphere_rule(
         d, int(params.get("n_polar", 160)), int(params.get("n_azimuth", 160))
     )
     # with x = e_1 in the rule's frame, |<x, theta>| = |cos phi|
     kernel = weights * np.abs(nodes[:, 0])
-    Minv = np.linalg.inv(M)
-    vol = ball_volume(d) * math.sqrt(float(np.linalg.det(M)))
-    constant = d * ball_volume(d) ** 2 / (2.0 * ball_volume(d - 1) * vol)
+    constant = d * ball_volume(d) ** 2 / (2.0 * ball_volume(d - 1) * E.volume())
     n_dirs = int(params.get("n_directions", 5))
     dirs = rng.normal(size=(n_dirs, d))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     worst = 0.0
     for x in dirs:
         Q = np.linalg.qr(x[:, None], mode="complete")[0]  # first column +-x
-        form = nodes @ (Q.T @ Minv @ Q)
+        form = nodes @ (Q.T @ E.T @ Q)
         dens = np.sum(form * nodes, axis=1) ** (-(d + 1) / 2.0)
         h_quad = constant * float(kernel @ dens)
-        h_exact = math.sqrt(float(x @ M @ x))
+        h_exact = E.support(x)
         worst = max(worst, abs(h_quad - h_exact) / max(h_exact, 1e-300))
     tol = float(params.get("tol", 1e-6))
     return make_report(
@@ -773,7 +750,6 @@ def _check_nu_measure(instance, params):
         constant=constant,
         constant_formula="d omega_d^2/(2 omega_{d-1} |E|), density weight ||theta||_E^{-(d+1)}",
         verdict="pass" if worst <= tol else "fail",
-        seed=int(params.get("seed", 0)),
         details={
             "max_relative_error": worst,
             "directions": n_dirs,
@@ -839,10 +815,10 @@ def run_check(check_id, instance=None, params=None) -> CheckReport:
             0.0,
             0.0,
             verdict="inconclusive",
-            seed=int(params.get("seed", 0)),
             details={"error": str(exc), "precondition_failure": True},
         )
     report.runtime_ms = (perf_counter() - started) * 1000.0
+    report.seed = int(params.get("seed", 0))
     if corrupt is not None:
         # test hook: scale the right-hand side and re-judge, to confirm the
         # harness surfaces violations; the re-judged verdict never improves
@@ -910,7 +886,8 @@ def run_suite(config) -> SuiteResult:
     """Execute a suite configuration: generated plus user-supplied instances.
 
     Config keys: ``seed`` (base seed), ``checks`` (list of
-    ``{"id", "params", "repeat", "surface"}``, where ``surface`` is a path),
+    ``{"id", "params", "repeat", "surface"}``, where ``repeat`` is a
+    positive integer, default 1, and ``surface`` is a path),
     ``surfaces`` (paths run against every entry; a check that cannot take a
     surface reports it as an inconclusive precondition failure).  Reports
     keep submission order; any ``fail`` verdict marks the suite as failed.
@@ -940,7 +917,9 @@ def run_suite(config) -> SuiteResult:
         if not isinstance(params, dict):
             raise ValueError(f'suite config entry {idx} "params" must be an object')
         params = dict(params)
-        repeat = int(entry.get("repeat", 1))
+        repeat = entry.get("repeat", 1)
+        if isinstance(repeat, bool) or not isinstance(repeat, int) or repeat < 1:
+            raise ValueError(f'suite config entry {idx} "repeat" must be a positive integer')
         surface = entry.get("surface")
         if surface is not None and not isinstance(surface, str):
             raise ValueError(f'suite config entry {idx} "surface" must be a path')

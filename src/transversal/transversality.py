@@ -28,7 +28,8 @@ every slot uses the Cauchy-Binet closed form j! e_j(eig T) instead, and
 enumerates only near rank deficiency; _q_sum itself always enumerates,
 because the closed forms elsewhere are checked against it.  The refinement
 pass of finner_check reads each cover block's determinants from a table over
-that block's atom tuples, built once per call.
+that block's atom tuples, built once per call, and the block sums Q_i are
+summed from the same tables.
 
 The budget bounds the tuples each walk yields (C(m, j) subsets, m!/(m-j)!
 injective tuples, prod m_k ordered tuples, and prod m_l for a block table
@@ -127,22 +128,27 @@ def _tuple_blocks(surfaces, budget=DEFAULT_BUDGET):
 
 
 def _block_table(surfaces, units, A, p, blocks):
-    """Per cover block A: the slot sizes, and over all ordered atom tuples of
+    """Per cover block A: the slot sizes, over all ordered atom tuples of
     those slots (flat C order, as np.ravel_multi_index gives) the normalized
-    Gram determinants and F = wedge^p.  ``blocks`` is the product walk over
-    those slots, created (and so checked against the budget) by the caller."""
-    sizes = [surfaces[l].m for l in A]
+    Gram determinants and F = wedge^p, and the block's raw sum of
+    prod_k w_k * F (Q_i to the power |A| p).  ``blocks`` is the product walk
+    over those slots, created (and so checked against the budget) by the
+    caller."""
+    slots = [surfaces[l] for l in A]
+    sizes = [s.m for s in slots]
     sub = np.empty(math.prod(sizes))
     F = np.empty_like(sub)
+    parts = []
     lo = 0
     for idx in blocks:
         U = np.stack([units[l][idx[:, k]] for k, l in enumerate(A)], axis=1)
-        V = np.stack([surfaces[l].vectors[idx[:, k]] for k, l in enumerate(A)], axis=1)
+        V = np.stack([s.vectors[idx[:, k]] for k, s in enumerate(slots)], axis=1)
         hi = lo + idx.shape[0]
         sub[lo:hi] = np.clip(np.linalg.det(U @ np.transpose(U, (0, 2, 1))), 0.0, None)
         F[lo:hi] = gram_dets(V) ** (p / 2.0)
+        parts.append(float(np.sum(_slot_weights(slots, idx) * F[lo:hi])))
         lo = hi
-    return sizes, sub, F
+    return sizes, sub, F, math.fsum(parts)
 
 
 def _q_sum(surfaces, p, budget=DEFAULT_BUDGET):
@@ -283,9 +289,11 @@ def finner_check(surfaces, cover, p, *, budget=DEFAULT_BUDGET, seed=0):
     with F_i the block wedge norm to the p-th power and rho the Gram cover
     factor of the normalized directions.  F_i and the normalized block Gram
     determinants depend only on the atoms of block A_i, so they are computed
-    once per block atom tuple into tables and read per tuple; each tuple
-    still gets its own full Gram determinant, and rho is formed per tuple by
-    the same rule as geom_core.cover_factors.
+    once per block atom tuple into tables and read per tuple; Q_i is the
+    weighted sum of its table's F_i over all ordered block tuples, and Q is
+    summed by a separate enumeration, so the identity compares two
+    computations.  Each tuple still gets its own full Gram determinant, and
+    rho is formed per tuple by the same rule as geom_core.cover_factors.
 
     ``budget`` bounds each walk (see the module docstring); all of them are
     created before the first determinant, so an over-budget call raises
@@ -313,36 +321,25 @@ def finner_check(surfaces, cover, p, *, budget=DEFAULT_BUDGET, seed=0):
 
     lhs = _q_sum(surfaces, p, budget) ** (1.0 / (j * p))
 
-    block_Q = []
-    block_raw = []
-    for A in cover.sets:
-        subs = [surfaces[l] for l in A]
-        raw = _q_sum(subs, p, budget)
-        block_raw.append(raw)
-        block_Q.append(raw ** (1.0 / (len(A) * p)))
-    classical = 1.0
-    for Q_i, A, a in zip(block_Q, cover.sets, cover.alphas):
-        classical *= Q_i ** (a * len(A) / j)
-
     sets = [list(A) for A in cover.sets]
     alphas = np.array(cover.alphas)
-    raw_arr = np.array(block_raw)
-    degenerate_blocks = bool(np.any(raw_arr == 0.0))
+    units = [unit_directions(s.vectors) for s in surfaces]
+    tables = [_block_table(surfaces, units, A, p, blocks) for A, blocks in zip(sets, table_walks)]
+    block_Q = [raw ** (1.0 / (len(A) * p)) for A, (*_, raw) in zip(sets, tables)]
+    classical = 1.0
+    for Q_i, A, a in zip(block_Q, sets, cover.alphas):
+        classical *= Q_i ** (a * len(A) / j)
 
-    if degenerate_blocks:
+    if any(raw == 0.0 for *_, raw in tables):
         refinement, sup_rho = 0.0, 0.0
     else:
-        units = [unit_directions(s.vectors) for s in surfaces]
-        tables = []
-        for A, a, raw, blocks in zip(sets, alphas, raw_arr, table_walks):
-            sizes, sub, F = _block_table(surfaces, units, A, p, blocks)
-            tables.append((A, sizes, sub, (F / raw) ** a))
+        factors = [(F / raw) ** a for (_, _, F, raw), a in zip(tables, alphas)]
         sums, sups = [], []
         for idx in walk:
             U = np.stack([units[k][idx[:, k]] for k in range(j)], axis=1)
             ratio = np.ones(idx.shape[0])
             subs = []
-            for A, sizes, sub, factor in tables:
+            for A, (sizes, sub, _, _), factor in zip(sets, tables, factors):
                 flat = np.ravel_multi_index(idx[:, A].T, sizes)
                 subs.append(sub[flat])
                 ratio *= factor[flat]

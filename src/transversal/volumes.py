@@ -6,8 +6,10 @@ For a surface with atoms (w_i, v_i), the p-th shadow norm is
 
 K^p its unit ball, and vis_p = |K^p|^(-1/d).  Routes for |K^p|:
 
-- "exact": p = 2 via the covariance ellipsoid, p = 1 via the polar of the
-  projection-body zonotope (d <= 4, m <= 8);
+- "exact": p = 2 as omega_d / prod_i sigma_i, sigma_i the singular values
+  of the rows sqrt(w_i) v_i (so prod_i sigma_i = (det T)^(1/2) for the
+  covariance form T, without an LU determinant), p = 1 via the polar of
+  the projection-body zonotope (d <= 4, m <= 8);
 - "quadrature" (d = 2, 3): |K^p| = (1/d) * integral over S^{d-1} of
   ||theta||_p^{-d}, by graded piecewise Gauss-Legendre split at the kinks
   of the norm (``_quadrature_volume``); its error bar is the gap between
@@ -17,7 +19,8 @@ K^p its unit ball, and vis_p = |K^p|^(-1/d).  Routes for |K^p|:
 
 "auto" takes an exact route where one applies, then quadrature while its
 node-times-atom count is within ``transversality.DEFAULT_BUDGET``, then
-radial MC.
+radial MC.  Every route requires ``s.spans(1e-12)``: otherwise K^p is
+unbounded.
 """
 
 from __future__ import annotations
@@ -149,8 +152,6 @@ class VolumeEstimate:
 def _radial_mc_volume(s, p, n_samples, seed):
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
-    if not s.spans(tol=1e-12):
-        raise ValueError("atoms must span R^d; the norm degenerates and K^p is unbounded")
     rng = np.random.default_rng(seed)
     d = s.d
     g = rng.normal(size=(n_samples, d))
@@ -296,8 +297,6 @@ def _quadrature_volume(s, p):
     eccentricity of K^p(s).  The error bar is the gap to the n-node rule,
     floored at 8 kappa ulps of the value, kappa = cond(A): the round-off
     that the whitened inner products carry, which both rules share."""
-    if not s.spans(tol=1e-12):
-        raise ValueError("atoms must span R^d; the norm degenerates and K^p is unbounded")
     lam, U = np.linalg.eigh((s.weights[:, None] * s.vectors).T @ s.vectors)
     V = s.vectors @ (U / np.sqrt(lam)) @ U.T
     n = _QUAD_NODES[s.d]
@@ -319,6 +318,8 @@ def kp_volume(s, p, method="auto", *, n_samples=100_000, seed=0) -> VolumeEstima
     """
     if p < 1:
         raise ValueError("p must be >= 1")
+    if not s.spans(tol=1e-12):
+        raise ValueError("atoms must span R^d; the norm degenerates and K^p is unbounded")
     d, m = s.d, s.m
     count = _quadrature_count(d, m) if d in (2, 3) else None
     if method == "auto":
@@ -330,7 +331,8 @@ def kp_volume(s, p, method="auto", *, n_samples=100_000, seed=0) -> VolumeEstima
             method = "radial_mc"
     if method == "exact":
         if p == 2.0:
-            return VolumeEstimate(covariance(s).volume(), 0.0, "exact")
+            sv = np.linalg.svd(np.sqrt(s.weights)[:, None] * s.vectors, compute_uv=False)
+            return VolumeEstimate(ball_volume(d) / float(np.prod(sv)), 0.0, "exact")
         if p == 1.0:
             return VolumeEstimate(polar_zonotope_volume(projection_body(s)), 0.0, "exact")
         raise ValueError(f"no exact route for p={p}; use method='quadrature' or 'radial_mc'")

@@ -153,6 +153,15 @@ def test_malformed_suite_config_exits_two(capsys, tmp_path, config, key):
     assert err.startswith("error:") and key in err
 
 
+@pytest.mark.parametrize("repeat", [0, -1, 2.7, True])
+def test_suite_repeat_that_is_not_a_positive_integer_exits_two(capsys, tmp_path, repeat):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"checks": [{"id": "NU_MEASURE", "repeat": repeat}]}))
+    code, out, err = run(capsys, "suite", str(cfg_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and '"repeat"' in err
+
+
 def test_generator_without_dimension_exits_two(capsys):
     code, _, err = run(capsys, "q", "--surface", "axis-cross")
     assert code == 2

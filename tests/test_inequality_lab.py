@@ -59,6 +59,26 @@ def test_each_check_passes_on_generated_instance(check_id):
     ]
 
 
+def test_suite_reports_carry_their_entry_seeds():
+    # every registry check, each on its generated instance at its own seed
+    result = run_suite(default_suite_config(seed=3))
+    assert {r.check_id for r in result.reports} == set(CHECK_IDS)
+    assert not any("precondition_failure" in r.details for r in result.reports)
+    assert [r.seed for r in result.reports] == [3 + 1000 * i for i in range(20)]
+    assert [r["seed"] for r in result.to_dict()["reports"]] == [3 + 1000 * i for i in range(20)]
+    nested = [r.details["jp_bound"]["seed"] for r in result.reports if "jp_bound" in r.details]
+    assert nested == [0]  # the JP_BOUND report inside MAXIMIZER keeps its own seed
+    failure = run_check("NU_MEASURE", np.eye(4), {"seed": 9})
+    assert failure.details["precondition_failure"] is True and failure.seed == 9
+
+
+@pytest.mark.parametrize("repeat", [0, -1, 2.7, 2.0, True, "2", None])
+def test_suite_repeat_must_be_a_positive_integer(repeat):
+    config = {"checks": [{"id": "NU_MEASURE", "params": {"d": 2}, "repeat": repeat}]}
+    with pytest.raises(ValueError, match='"repeat" must be a positive integer'):
+        run_suite(config)
+
+
 def test_maximizer_covers_both_regimes():
     low = run_check("MAXIMIZER", params={"seed": 2, "p": 1.0, "d": 3})
     assert low.verdict == "pass" and low.details["regime"] == "p<=2"

@@ -158,6 +158,32 @@ def test_finner_orthogonal_instance_rho_one():
     assert report.lhs == pytest.approx(6.0 ** (1.0 / 3.0), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "cover",
+    [
+        UniformCover(3, [(0, 1), (1, 2), (2, 0)], alphas=(0.5,) * 3),
+        UniformCover(4, [(0, 1), (1, 2), (2, 3), (3, 0)], alphas=(0.5,) * 4),
+        UniformCover.partition([(0, 1, 2), (3,)], j=4),
+    ],
+    ids=["triangle", "4-cycle", "012-3"],
+)
+@pytest.mark.parametrize("same_object", [True, False], ids=["same", "copies"])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_finner_block_q_is_q_exact_on_the_block_slots(cover, same_object, p):
+    # the block sums come from the refinement tables (all ordered tuples);
+    # q_exact takes the subset or Cauchy-Binet route when one object fills
+    # the block, the product route over distinct copies
+    if same_object:
+        surfaces = [random_surface(4, 5, seed=21)] * cover.j
+    else:
+        surfaces = [random_surface(4, 5, seed=21) for _ in range(cover.j)]
+    report = finner_check(surfaces, cover, p)
+    assert report.verdict == "pass"
+    for Q_i, A in zip(report.details["block_Q"], cover.sets):
+        expected = q_exact([surfaces[l] for l in A], len(A), p)
+        assert Q_i == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_finner_sup_rho_matches_cofactor_oracle():
     triangle = UniformCover(3, [(0, 1), (1, 2), (0, 2)], alphas=(0.5,) * 3)
     rng = np.random.default_rng(41)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -65,6 +66,45 @@ def test_covariance_rejects_nonspanning():
     s = DiscreteHypersurface(3, [(1.0, [1.0, 0.0, 0.0]), (1.0, [0.0, 1.0, 0.0])])
     with pytest.raises(ValueError):
         covariance(s)
+
+
+def _exact_covariance_det(s):
+    """det T of T = sum_i w_i v_i v_i^T in exact rational arithmetic on the
+    float inputs."""
+    w = [Fraction(x) for x in s.weights.tolist()]
+    V = [[Fraction(x) for x in v] for v in s.vectors.tolist()]
+    T = [[sum(wi * v[a] * v[b] for wi, v in zip(w, V)) for b in range(s.d)] for a in range(s.d)]
+    det = Fraction(1)
+    for c in range(s.d):
+        piv = next(r for r in range(c, s.d) if T[r][c] != 0)
+        if piv != c:
+            T[c], T[piv] = T[piv], T[c]
+            det = -det
+        det *= T[c][c]
+        for r in range(c + 1, s.d):
+            f = T[r][c] / T[c][c]
+            T[r] = [x - f * y for x, y in zip(T[r], T[c])]
+    return det
+
+
+@pytest.mark.parametrize(
+    "d, m, seed",
+    [(3, 3, 452631), (3, 3, 3), (2, 4, 11), (3, 6, 12), (4, 5, 13)],
+)
+def test_exact_p2_volume_matches_the_rational_determinant(d, m, seed):
+    # |K^2| = omega_d (det T)^(-1/2); at seed 452631 cond T = 3.4e6, where an
+    # LU determinant of T is off by 2.5e-11 relative
+    s = random_surface(d, m, seed)
+    expected = ball_volume(d) / math.sqrt(float(_exact_covariance_det(s)))
+    est = kp_volume(s, 2.0, "exact")
+    assert est.method == "exact" and est.std_error == 0.0
+    assert abs(est.value - expected) <= 1e-13 * expected
+
+
+def test_exact_p2_volume_refuses_a_nonspanning_surface():
+    flat = DiscreteHypersurface(3, [(1.0, [1.0, 0, 0]), (1.0, [0, 1.0, 0]), (1.0, [1.0, 1.0, 0])])
+    with pytest.raises(ValueError, match="span"):
+        kp_volume(flat, 2.0, "exact")
 
 
 def test_kp_norm_basics():
