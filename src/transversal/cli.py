@@ -35,17 +35,20 @@ from .inequality_lab import (
 )
 from .lewis import isotropy_defect, lewis_solve
 from .transversality import DEFAULT_BUDGET, finner_check, q_exact, q_montecarlo
-from .volumes import vis_p
+from .volumes import kp_volume
 from .zonotope import Ball, mixed_volume, projection_body
 
 GENERATORS = ("axis-cross", "cube-sheared", "sphere", "random")
+#: atom count of the ``sphere`` and ``random`` generators when --m is not given;
+#: ``check`` passes m to the check only when given, so each check keeps its own
+GENERATOR_M = 6
 
 
 def _build_surface(name, args):
     """Resolve a surface spec: file path or generator name."""
     if os.path.exists(name):
         return load_surface(name)
-    d = args.d
+    d, m = args.d, GENERATOR_M if args.m is None else args.m
     if d is None:
         raise ValueError(f"generator {name!r} needs --d")
     if name == "axis-cross":
@@ -53,9 +56,9 @@ def _build_surface(name, args):
     if name == "cube-sheared":
         return make_sheared_cube(d, seed=args.seed)
     if name == "sphere":
-        return sample_sphere_uniform(d, args.m, args.seed)
+        return sample_sphere_uniform(d, m, args.seed)
     if name == "random":
-        return random_surface(d, args.m, args.seed, unit=args.unit, probability=args.probability)
+        return random_surface(d, m, args.seed, unit=args.unit, probability=args.probability)
     raise ValueError(
         f"surface {name!r} is neither a file nor one of the generators {GENERATORS}"
     )
@@ -63,7 +66,8 @@ def _build_surface(name, args):
 
 def _generator_flags(sp, d_required=False):
     sp.add_argument("--d", type=int, required=d_required, help="dimension for generators")
-    sp.add_argument("--m", "--n", dest="m", type=int, default=6, help="atom count for generators")
+    help_ = f"atom count for generators (default {GENERATOR_M})"
+    sp.add_argument("--m", "--n", dest="m", type=int, default=None, help=help_)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--weight", type=float, default=1.0, help="axis-cross weight per atom")
     sp.add_argument("--signed", action="store_true", help="axis-cross: include negatives")
@@ -99,7 +103,7 @@ def _cmd_q(args):
     j = args.j if args.j is not None else s.d
     if args.mc:
         est = q_montecarlo([s] * j, j, args.p, args.mc, args.seed)
-        print(f"Q = {est.value:.10f} +/- {est.std_error:.3g} (mc, n={est.n_samples})")
+        print(f"Q = {est.value:.10f} +/- {est.std_error:.3g} ({est.method}, n={est.n_samples})")
     else:
         value = q_exact([s] * j, j, args.p, budget=args.budget)
         print(f"Q = {value:.10f}")
@@ -125,9 +129,10 @@ def _cmd_rho(args):
 
 def _cmd_vis(args):
     s = _build_surface(args.surface, args)
-    est = vis_p(s, args.p, args.method, n_samples=args.samples, seed=args.seed)
-    print(f"vis = {est.value:.10f} +/- {est.std_error:.3g} ({est.method})")
-    print(f"volume = {est.volume:.10g} +/- {est.volume_std_error:.3g}")
+    vol = kp_volume(s, args.p, args.method, n_samples=args.samples, seed=args.seed)
+    vis = vol.root(-s.d)
+    print(f"vis = {vis.value:.10f} +/- {vis.std_error:.3g} ({vis.method})")
+    print(f"volume = {vol.value:.10g} +/- {vol.std_error:.3g}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Exact multilinear algebra: wedge norms, Gram matrices, cover factors.
+"""Exact multilinear algebra: wedge norms, Gram determinants, cover factors.
 
 The wedge norm of vectors v_1..v_j is the j-volume of the parallelepiped they
 span, computed as sqrt(det Gram).  The cover factor rho compares the full Gram
@@ -6,16 +6,14 @@ determinant of the normalized directions against the weighted product of its
 principal blocks; it lies in [0, 1] by a determinant majorization argument and
 equals 1 exactly when the blocks are mutually orthogonal.
 
-gram_dets and cover_factors are the batched kernels behind every wedge norm
-and cover factor in the package: the tuple sums, finner_check and the mixed
-volumes call them on stacks of tuples, wedge_norm and rho_factor on one.
-cover_factors forms rho from the determinants with _rho_from_dets, which
-finner_check also calls on block determinants read from its tables.
+gram_dets is the batched kernel behind every wedge norm and cover factor in
+the package: the tuple sums, finner_check and the mixed volumes call it on
+stacks of tuples, wedge_norm and rho_factor on one.  _rho_from_dets is the one
+rule that forms rho from the full and block determinants; rho_factor calls it
+on one tuple, finner_check on block determinants read from its tables.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,24 +48,9 @@ def gram_dets(V):
     return det
 
 
-def cover_factors(V, sets, alphas):
-    """Cover factors rho and degeneracy flags for a stack V of shape (n, j, d).
-
-    rho = sqrt(det C) / prod_i det(C_{A_i})^{alpha_i / 2}, where C is the Gram
-    matrix of the normalized directions and C_{A_i} its principal blocks.  A
-    tuple with a block determinant below DEGENERATE_DET is degenerate: its
-    flag is True and its rho is 0.
-    """
-    U = unit_directions(V)
-    C = U @ np.transpose(U, (0, 2, 1))
-    n = C.shape[0]
-    subs = [np.clip(np.linalg.det(C[np.ix_(range(n), A, A)]), 0.0, None) for A in sets]
-    return _rho_from_dets(gram_dets(U), subs, alphas)
-
-
 def _rho_from_dets(det_full, subs, alphas):
     """(rho, degenerate) from the full and the block determinants of the
-    normalized Gram, one array entry per tuple (see cover_factors)."""
+    normalized Gram, one array entry per tuple (see rho_factor)."""
     log_den = np.zeros(len(det_full))
     degenerate = np.zeros(len(det_full), dtype=bool)
     for sub, a in zip(subs, alphas):
@@ -76,56 +59,6 @@ def _rho_from_dets(det_full, subs, alphas):
             log_den += np.where(sub > 0, 0.5 * a * np.log(sub), 0.0)
     rho = np.where(degenerate, 0.0, np.minimum(np.sqrt(det_full) * np.exp(-log_den), 1.0))
     return rho, degenerate
-
-
-@dataclass(frozen=True)
-class VectorTuple:
-    """Ordered tuple of j <= d vectors in R^d."""
-
-    d: int
-    vectors: tuple
-
-    def __post_init__(self):
-        vecs = np.asarray(self.vectors, dtype=float)
-        if vecs.ndim != 2 or vecs.shape[1] != self.d:
-            raise ValueError(f"vectors must be rows of length d={self.d}")
-        if vecs.shape[0] < 1 or vecs.shape[0] > self.d:
-            raise ValueError("need 1 <= j <= d vectors")
-        if not np.all(np.isfinite(vecs)):
-            raise ValueError("vectors must be finite")
-        object.__setattr__(self, "vectors", vecs)
-
-    @property
-    def j(self):
-        return self.vectors.shape[0]
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Symmetric PSD matrix of pairwise inner products of unit directions."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        G = np.asarray(self.entries, dtype=float)
-        if G.ndim != 2 or G.shape[0] != G.shape[1]:
-            raise ValueError("Gram matrix must be square")
-        if not np.allclose(G, G.T, atol=1e-12):
-            raise ValueError("Gram matrix must be symmetric")
-        if np.max(np.abs(np.diag(G) - 1.0)) > 1e-12:
-            raise ValueError("Gram matrix of unit directions must have unit diagonal")
-        if np.linalg.eigvalsh(G)[0] < -1e-10:
-            raise ValueError("Gram matrix must be positive semidefinite")
-        object.__setattr__(self, "entries", G)
-
-    @classmethod
-    def from_tuple(cls, t: VectorTuple):
-        U = unit_directions(t.vectors)
-        return cls(U @ U.T)
-
-    def det(self):
-        # Gram determinants are nonnegative; LAPACK round-off can dip below 0.
-        return max(float(np.linalg.det(self.entries)), 0.0)
 
 
 def unit_directions(vectors):
@@ -141,10 +74,9 @@ def unit_directions(vectors):
 def wedge_norm(t) -> float:
     """j-volume |v_1 ^ ... ^ v_j| = sqrt(det Gram(v_1..v_j)).
 
-    Accepts a VectorTuple or a (j, d) array; the determinant comes from
-    gram_dets.
+    Takes a (j, d) array; the determinant comes from gram_dets.
     """
-    V = t.vectors if isinstance(t, VectorTuple) else np.asarray(t, dtype=float)
+    V = np.asarray(t, dtype=float)
     if V.ndim != 2:
         raise ValueError("expected a (j, d) array of row vectors")
     j, d = V.shape
@@ -156,7 +88,7 @@ def wedge_norm(t) -> float:
 def _cover_for(t, cover):
     if not isinstance(cover, UniformCover):
         raise ValueError("cover must be a UniformCover")
-    j = t.vectors.shape[0] if isinstance(t, VectorTuple) else np.asarray(t).shape[0]
+    j = np.asarray(t).shape[0]
     if cover.j != j:
         raise ValueError(f"cover ground size {cover.j} != tuple length {j}")
     check = validate_cover(cover)
@@ -176,8 +108,10 @@ def rho_factor(t, cover, *, with_flag=False):
     and, with ``with_flag=True``, the flag returns True.
     """
     cover = _cover_for(t, cover)
-    V = t.vectors if isinstance(t, VectorTuple) else np.asarray(t, dtype=float)
-    rho, degenerate = cover_factors(V[None], cover.sets, cover.alphas)
+    U = unit_directions(np.asarray(t, dtype=float)[None])
+    C = U @ np.transpose(U, (0, 2, 1))
+    subs = [np.clip(np.linalg.det(C[np.ix_([0], A, A)]), 0.0, None) for A in cover.sets]
+    rho, degenerate = _rho_from_dets(gram_dets(U), subs, cover.alphas)
     rho, degenerate = float(rho[0]), bool(degenerate[0])
     return (rho, degenerate) if with_flag else rho
 
@@ -193,7 +127,7 @@ def local_identity_residual(t, cover, p) -> float:
     if p <= 0:
         raise ValueError("p must be positive")
     cover = _cover_for(t, cover)
-    V = t.vectors if isinstance(t, VectorTuple) else np.asarray(t, dtype=float)
+    V = np.asarray(t, dtype=float)
     lhs = wedge_norm(V) ** p
     rho, degenerate = rho_factor(V, cover, with_flag=True)
     if degenerate:

@@ -226,14 +226,14 @@ def sample_sphere_uniform(d, n, seed):
     )
 
 
-def random_surface(d, m, seed, unit=False, probability=False, weight_range=(0.2, 1.5)):
-    """Random spanning test surface: Gaussian vectors, uniform weights."""
+def random_surface(d, m, seed, unit=False, probability=False):
+    """Random spanning test surface: Gaussian vectors, weights uniform on [0.2, 1.5]."""
     rng = np.random.default_rng(seed)
     for _ in range(64):
         vecs = rng.normal(size=(m, d))
         if unit or probability:
             vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-        w = rng.uniform(*weight_range, size=m)
+        w = rng.uniform(0.2, 1.5, size=m)
         if probability:
             w = w / w.sum()
         s = DiscreteHypersurface(d, zip(w, vecs), label=f"random(d={d}, m={m}, seed={seed})")
@@ -242,14 +242,15 @@ def random_surface(d, m, seed, unit=False, probability=False, weight_range=(0.2,
     raise RuntimeError("failed to draw a spanning surface")
 
 
-def make_sheared_cube(d, seed=0, shear_scale=1.0):
+def make_sheared_cube(d, seed=0):
     """Surface whose projection body is a parallelotope: atoms from the
-    columns of a unimodular upper-triangular matrix."""
+    columns of a unimodular upper-triangular matrix with entries uniform
+    on [-1, 1] above the diagonal."""
     rng = np.random.default_rng(seed)
     T = np.eye(d)
     for i in range(d):
         for j in range(i + 1, d):
-            T[i, j] = rng.uniform(-shear_scale, shear_scale)
+            T[i, j] = rng.uniform(-1.0, 1.0)
     atoms = []
     for j in range(d):
         col = T[:, j]

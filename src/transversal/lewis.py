@@ -136,12 +136,17 @@ def lewis_solve(s: DiscreteHypersurface, p, *, tol=1e-9, max_iter=500) -> LewisR
 
 
 def lewis_p2_closed_form(s: DiscreteHypersurface) -> np.ndarray:
-    """Exact Lewis 2-position (d T)^(-1/2), T the covariance form."""
-    T = (s.weights[:, None] * s.vectors).T @ s.vectors
-    evals, evecs = np.linalg.eigh(s.d * T)
-    if evals[0] <= 0.0:
-        raise ValueError("covariance form must be positive definite")
-    return evecs @ np.diag(evals**-0.5) @ evecs.T
+    """Exact Lewis 2-position (d T)^(-1/2), T the covariance form.
+
+    T = B^T B for the rows sqrt(w_i) v_i of B, so with B = P diag(sigma) Q^T
+    the position is Q diag(1 / (sqrt(d) sigma)) Q^T: singular values of B
+    keep the small directions about sqrt(cond T) times more accurate than
+    eigenvalues of T itself.
+    """
+    if not s.spans(tol=1e-12):
+        raise ValueError("atoms must span R^d for a Lewis position to exist")
+    _, sv, Qt = np.linalg.svd(np.sqrt(s.weights)[:, None] * s.vectors, full_matrices=False)
+    return (Qt.T / (math.sqrt(s.d) * sv)) @ Qt
 
 
 def det_u_lower_bound(d, p, q_d_p) -> float:

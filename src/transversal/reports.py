@@ -1,10 +1,13 @@
-"""Check reports: a uniform record for every inequality/identity check.
+"""Check reports, and the one error-bar record every estimate returns.
 
 Every check produces a CheckReport whose claim is normalized to the
 orientation ``lhs <= rhs`` (equality checks set ``details["relation"]`` to
 "eq").  Verdicts: "pass" when the claim holds within a relative band,
 "inconclusive" when a violation is within three Monte Carlo standard errors,
 "fail" otherwise.
+
+An ``Estimate`` is a value with its error bar, whatever route produced it:
+a volume, a visibility, or a Monte Carlo tuple quantity.
 """
 
 from __future__ import annotations
@@ -59,6 +62,24 @@ def verdict_leq(lhs, rhs, mc_error=0.0, rel=REL_BAND, abs_=ABS_BAND) -> str:
     return "fail"
 
 
+@dataclass(frozen=True)
+class Estimate:
+    """A value and its error bar: a Monte Carlo standard error, a quadrature
+    n/2n gap, or 0 for an exact value.  ``method`` names the route and
+    ``n_samples`` counts its Monte Carlo draws (0 on the other routes)."""
+
+    value: float
+    std_error: float
+    method: str
+    n_samples: int = 0
+
+    def root(self, k):
+        """value^(1/k) with the delta-method error |value^(1/k) se / (k value)|."""
+        value = self.value ** (1.0 / k)
+        se = abs(value * self.std_error / (k * self.value)) if self.std_error else 0.0
+        return Estimate(value, se, self.method, self.n_samples)
+
+
 @dataclass
 class CheckReport:
     check_id: str
@@ -104,7 +125,6 @@ def make_report(
     mc_error=0.0,
     verdict=None,
     seed=0,
-    runtime_ms=0.0,
     details=None,
 ) -> CheckReport:
     """Assemble a CheckReport; default verdict is the lhs <= rhs comparison."""
@@ -123,6 +143,5 @@ def make_report(
         mc_error=float(mc_error),
         verdict=verdict,
         seed=int(seed),
-        runtime_ms=float(runtime_ms),
         details=details,
     )

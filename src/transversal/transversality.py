@@ -42,13 +42,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .geom_core import _rho_from_dets, gram_dets, unit_directions
 from .hypersurface import DiscreteHypersurface, UniformCover, validate_cover
-from .reports import make_report, verdict_leq
+from .reports import Estimate, make_report, verdict_leq
 
 #: fixed enumeration chunk (block boundaries, hence results, do not vary)
 CHUNK = 1 << 17
@@ -222,16 +221,7 @@ def q_exact(surfaces, j, p, *, budget=DEFAULT_BUDGET) -> float:
     return total ** (1.0 / (j * p))
 
 
-@dataclass(frozen=True)
-class QEstimate:
-    value: float
-    std_error: float
-    n_samples: int
-    j: int
-    p: float
-
-
-def q_montecarlo(surfaces, j, p, n_samples, seed) -> QEstimate:
+def q_montecarlo(surfaces, j, p, n_samples, seed) -> Estimate:
     """Importance-sampled Q_j^p.
 
     Tuples are drawn atom-by-atom proportionally to the weights, which makes
@@ -261,13 +251,11 @@ def q_montecarlo(surfaces, j, p, n_samples, seed) -> QEstimate:
     det = np.zeros(n_samples)
     det[keep] = gram_dets(V)
     f = scale * det ** (p / 2.0)
-    mean = float(np.mean(f))
     se = float(np.std(f, ddof=1) / math.sqrt(n_samples))
-    if mean <= 0.0:
-        return QEstimate(0.0, 0.0, n_samples, j, p)
-    value = mean ** (1.0 / (j * p))
-    val_se = value * se / (j * p * mean)
-    return QEstimate(value, val_se, n_samples, j, p)
+    raw = Estimate(float(np.mean(f)), se, "mc", n_samples)
+    if raw.value <= 0.0:
+        return Estimate(0.0, 0.0, "mc", n_samples)
+    return raw.root(j * p)
 
 
 def finner_check(surfaces, cover, p, *, budget=DEFAULT_BUDGET, seed=0):
@@ -293,7 +281,7 @@ def finner_check(surfaces, cover, p, *, budget=DEFAULT_BUDGET, seed=0):
     weighted sum of its table's F_i over all ordered block tuples, and Q is
     summed by a separate enumeration, so the identity compares two
     computations.  Each tuple still gets its own full Gram determinant, and
-    rho is formed per tuple by the same rule as geom_core.cover_factors.
+    rho is formed per tuple by geom_core._rho_from_dets, as in rho_factor.
 
     ``budget`` bounds each walk (see the module docstring); all of them are
     created before the first determinant, so an over-budget call raises

@@ -28,13 +28,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import ball_volume
 from .hypersurface import DiscreteHypersurface
-from .reports import make_report
+from .reports import Estimate, make_report
 from .transversality import CHUNK, DEFAULT_BUDGET, _q_sum, q_exact
 from .zonotope import Zonotope, _check_frame, projection_body
 
@@ -141,14 +140,6 @@ def _polar_route_ok(s):
     return s.d <= POLAR_MAX_D and s.m <= POLAR_MAX_GENERATORS
 
 
-@dataclass(frozen=True)
-class VolumeEstimate:
-    value: float
-    std_error: float
-    method: str
-    n_samples: int = 0
-
-
 def _radial_mc_volume(s, p, n_samples, seed):
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
@@ -161,7 +152,7 @@ def _radial_mc_volume(s, p, n_samples, seed):
     f = ball_volume(d) * norms ** (-float(d))
     value = float(np.mean(f))
     se = float(np.std(f, ddof=1) / math.sqrt(n_samples))
-    return VolumeEstimate(value, se, "radial_mc", n_samples)
+    return Estimate(value, se, "radial_mc", n_samples)
 
 
 @functools.lru_cache(maxsize=8)
@@ -303,10 +294,10 @@ def _quadrature_volume(s, p):
     scale = float(np.prod(lam)) ** -0.5
     coarse, value = (scale * _quadrature_sum(V, s.weights, p, k) for k in (n, 2 * n))
     floor = 8.0 * math.sqrt(lam[-1] / lam[0]) * math.ulp(value)
-    return VolumeEstimate(value, max(abs(value - coarse), floor), "quadrature")
+    return Estimate(value, max(abs(value - coarse), floor), "quadrature")
 
 
-def kp_volume(s, p, method="auto", *, n_samples=100_000, seed=0) -> VolumeEstimate:
+def kp_volume(s, p, method="auto", *, n_samples=100_000, seed=0) -> Estimate:
     """Volume of K^p by one of the routes in the module docstring.
 
     "exact": p = 2, or p = 1 with d <= 4 and m <= 8, else ValueError.
@@ -332,9 +323,9 @@ def kp_volume(s, p, method="auto", *, n_samples=100_000, seed=0) -> VolumeEstima
     if method == "exact":
         if p == 2.0:
             sv = np.linalg.svd(np.sqrt(s.weights)[:, None] * s.vectors, compute_uv=False)
-            return VolumeEstimate(ball_volume(d) / float(np.prod(sv)), 0.0, "exact")
+            return Estimate(ball_volume(d) / float(np.prod(sv)), 0.0, "exact")
         if p == 1.0:
-            return VolumeEstimate(polar_zonotope_volume(projection_body(s)), 0.0, "exact")
+            return Estimate(polar_zonotope_volume(projection_body(s)), 0.0, "exact")
         raise ValueError(f"no exact route for p={p}; use method='quadrature' or 'radial_mc'")
     if method == "quadrature":
         if count is None:
@@ -349,24 +340,9 @@ def kp_volume(s, p, method="auto", *, n_samples=100_000, seed=0) -> VolumeEstima
     raise ValueError(f"unknown method {method!r}")
 
 
-@dataclass(frozen=True)
-class VisEstimate:
-    value: float
-    std_error: float
-    volume: float
-    volume_std_error: float
-    method: str
-    n_samples: int
-    p: float
-
-
-def vis_p(s, p, method="auto", *, n_samples=100_000, seed=0) -> VisEstimate:
+def vis_p(s, p, method="auto", *, n_samples=100_000, seed=0) -> Estimate:
     """p-visibility vis_p = |K^p|^(-1/d), delta-method error bar."""
-    est = kp_volume(s, p, method, n_samples=n_samples, seed=seed)
-    d = s.d
-    value = est.value ** (-1.0 / d)
-    se = value * est.std_error / (d * est.value) if est.std_error else 0.0
-    return VisEstimate(value, se, est.value, est.std_error, est.method, est.n_samples, float(p))
+    return kp_volume(s, p, method, n_samples=n_samples, seed=seed).root(-s.d)
 
 
 def _distinct_directions(s, tol=1e-10):
@@ -394,16 +370,15 @@ def santalo_check(s: DiscreteHypersurface, *, n_samples=1_000_000, seed=0):
     d = s.d
     rhs = q_exact(s, d, 1.0) ** d
     method = "exact" if _polar_route_ok(s) else "radial_mc"
-    vest = vis_p(s, 1.0, method, n_samples=n_samples, seed=seed)
-    lhs = (2.0 * vest.value) ** d
-    vol = vest.volume
-    mc_error = (2.0**d) * vest.volume_std_error / vol**2 if vest.volume_std_error else 0.0
+    vol = kp_volume(s, 1.0, method, n_samples=n_samples, seed=seed)
+    lhs = (2.0 * vol.root(-d).value) ** d
+    mc_error = (2.0**d) * vol.std_error / vol.value**2 if vol.std_error else 0.0
     dirs = _distinct_directions(s)
     parallelotope = len(dirs) == d and np.linalg.matrix_rank(dirs, tol=1e-10) == d
     gap = rhs - lhs
     report = make_report(
         "SANTALO",
-        (s.to_dict(), n_samples if vest.method == "radial_mc" else 0),
+        (s.to_dict(), vol.n_samples),
         lhs,
         rhs,
         constant=2.0**d,
@@ -411,14 +386,14 @@ def santalo_check(s: DiscreteHypersurface, *, n_samples=1_000_000, seed=0):
         mc_error=mc_error,
         seed=seed,
         details={
-            "volume_K1": vol,
-            "volume_method": vest.method,
+            "volume_K1": vol.value,
+            "volume_method": vol.method,
             "equality_case": bool(parallelotope),
             "equality_gap": gap,
             "relation": "leq",
         },
     )
-    if parallelotope and vest.method == "exact" and abs(gap) > 1e-9 * max(1.0, rhs):
+    if parallelotope and vol.method == "exact" and abs(gap) > 1e-9 * max(1.0, rhs):
         report.verdict = "fail"
         report.details["equality_violation"] = True
     return report

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 import transversal
 from transversal.cli import main
 from transversal.hypersurface import load_surface, make_sheared_cube, surface_from_dict
+from transversal.inequality_lab import run_check
 
 
 def run(capsys, *argv):
@@ -54,6 +56,7 @@ def test_vis_exact(capsys):
     )
     assert code == 0
     assert "vis = 0.5641895835" in out
+    assert "volume = 3.141592654 +/- 0\n" in out
 
 
 def test_vis_quadrature(capsys):
@@ -64,6 +67,20 @@ def test_vis_quadrature(capsys):
     assert "vis = 0.5193036690" in out and "(quadrature)" in out
     code, _, err = run(capsys, *argv, "--d", "4")
     assert code == 2 and "d = 2 and 3" in err
+
+
+def test_vis_error_follows_from_the_printed_volume(capsys):
+    code, out, _ = run(
+        capsys, "vis", "--surface", "random", "--d", "3", "--m", "5", "--seed", "4",
+        "--p", "1.5", "--method", "radial_mc", "--samples", "5000",
+    )
+    assert code == 0
+    line = r"^vis = (\S+) \+/- (\S+) \(radial_mc\)\nvolume = (\S+) \+/- (\S+)$"
+    vis, vis_se, vol, vol_se = map(float, re.search(line, out, re.M).groups())
+    assert vol_se > 0.0
+    assert vis == pytest.approx(vol ** (-1.0 / 3.0), rel=1e-9)
+    # the errors are printed to 3 significant digits
+    assert vis_se == pytest.approx(vis * vol_se / (3.0 * vol), rel=1e-2)
 
 
 def test_lewis_converges(capsys):
@@ -93,6 +110,16 @@ def test_check_santalo_sheared_cube(capsys):
     assert payload["verdict"] == "pass"
     assert payload["details"]["equality_case"] is True
     assert payload["runtime_ms"] == 0.0
+
+
+@pytest.mark.parametrize("check_id", ["VIS_P2_Q", "AFFINE_LW", "FINNER_RHO"])
+def test_check_runs_the_instance_of_the_api_defaults(capsys, check_id):
+    # these checks default to m = 7, 5 and 4, not the generators' 6
+    code, out, _ = run(capsys, "check", check_id)
+    assert code == 0
+    assert json.loads(out)["instance"] == run_check(check_id, None, {"seed": 0}).instance
+    code, out, _ = run(capsys, "check", check_id, "--m", "6")
+    assert json.loads(out)["instance"] == run_check(check_id, None, {"seed": 0, "m": 6}).instance
 
 
 def test_check_unknown_id_is_usage_error(capsys):

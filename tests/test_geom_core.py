@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transversal.geom_core import (
-    GramMatrix,
-    VectorTuple,
     local_identity_residual,
     rho_factor,
     unit_directions,
@@ -45,30 +43,10 @@ def test_wedge_norm_matches_cofactor_oracle():
         assert wedge_norm(V) == pytest.approx(wedge_norm_oracle(V), rel=1e-10, abs=1e-12)
 
 
-def test_vector_tuple_validation():
-    with pytest.raises(ValueError):
-        VectorTuple(2, np.ones((3, 2)))  # j > d
-    with pytest.raises(ValueError):
-        VectorTuple(2, np.array([[np.nan, 0.0]]))
-    t = VectorTuple(3, np.eye(3)[:2])
-    assert t.j == 2
-
-
 def test_unit_directions_zero_vector_falls_back_to_e1():
     U = unit_directions(np.array([[0.0, 0.0], [3.0, 4.0]]))
     assert np.allclose(U[0], [1.0, 0.0])
     assert np.allclose(U[1], [0.6, 0.8])
-
-
-def test_gram_matrix_from_tuple_and_validation():
-    t = VectorTuple(3, np.array([[2.0, 0.0, 0.0], [0.0, 5.0, 0.0]]))
-    G = GramMatrix.from_tuple(t)
-    assert np.allclose(G.entries, np.eye(2))
-    assert G.det() == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        GramMatrix(np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric
-    with pytest.raises(ValueError):
-        GramMatrix(np.array([[2.0, 0.0], [0.0, 1.0]]))  # non-unit diagonal
 
 
 def test_rho_45_degree_pair():

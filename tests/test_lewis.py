@@ -24,6 +24,15 @@ def test_p2_matches_closed_form():
         assert np.max(np.abs(res.u - closed)) <= 1e-8 * max(1.0, float(np.max(np.abs(closed))))
 
 
+def test_p2_closed_form_is_isotropic_when_t_is_ill_conditioned():
+    # cond T = 3.4e6: eigenvalues of d T itself left a defect of 3e-10
+    s = random_surface(3, 3, 452631)
+    assert isotropy_defect(s, lewis_p2_closed_form(s), 2.0).defect <= 1e-11
+    flat = DiscreteHypersurface(3, [(1.0, [1.0, 0.0, 0.0]), (2.0, [1.0, 1.0, 0.0])] * 2)
+    with pytest.raises(ValueError):
+        lewis_p2_closed_form(flat)
+
+
 def test_defect_small_for_various_p():
     rng = np.random.default_rng(3)
     for p in (1.0, 1.5, 3.0):

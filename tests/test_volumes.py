@@ -167,8 +167,10 @@ def test_kp_volume_method_validation():
 def test_vis_p_delta_error():
     s = random_surface(2, 5, seed=6)
     est = vis_p(s, 1.5, "radial_mc", n_samples=50_000, seed=3)
-    assert est.value == pytest.approx(est.volume ** (-1.0 / 2.0), rel=1e-12)
-    expected_se = est.value * est.volume_std_error / (2.0 * est.volume)
+    vol = kp_volume(s, 1.5, "radial_mc", n_samples=50_000, seed=3)
+    assert (est.method, est.n_samples) == ("radial_mc", 50_000)
+    assert est.value == pytest.approx(vol.value ** (-1.0 / 2.0), rel=1e-12)
+    expected_se = est.value * vol.std_error / (2.0 * vol.value)
     assert est.std_error == pytest.approx(expected_se, rel=1e-12)
 
 
