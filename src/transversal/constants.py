@@ -1,9 +1,8 @@
-"""Named constants for the inequality registry, each computed two ways.
+"""Named constants for the inequality registry.
 
-The primary route uses exact integer arithmetic (factorials, binomials) and
-the two-step ball-volume recurrence; the secondary route goes through
-log-gamma.  ``ConstantsCatalog.self_check`` confirms the two routes agree to
-near machine precision over a sample grid.
+Each constant uses exact integer arithmetic (factorials, binomials) and the
+two-step ball-volume recurrence where it can.  The tests check every one
+against an independent log-gamma route (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -27,28 +26,12 @@ def ball_volume(m) -> float:
     return 2.0 * math.pi * ball_volume(m - 2) / m
 
 
-def ball_volume_loggamma(m) -> float:
-    """Same constant as pi^(m/2) / Gamma(m/2 + 1)."""
-    m = int(m)
-    if m < 0:
-        raise ValueError("dimension must be >= 0")
-    return math.exp(0.5 * m * LOG_PI - math.lgamma(0.5 * m + 1.0))
-
-
-def _log_comb(n, k):
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
 class ConstantsCatalog:
-    """Registry constants; method pairs <name> / <name>_alt are independent."""
+    """Registry constants."""
 
     @staticmethod
     def omega(m):
         return ball_volume(m)
-
-    @staticmethod
-    def omega_alt(m):
-        return ball_volume_loggamma(m)
 
     @staticmethod
     def b_d(d, dims):
@@ -60,13 +43,6 @@ class ConstantsCatalog:
         return (num / den) ** (1.0 / d)
 
     @staticmethod
-    def b_d_alt(d, dims):
-        log = math.lgamma(d + 1) - d * math.log(2.0)
-        for d_i in dims:
-            log -= math.lgamma(d_i + 1)
-        return math.exp(log / d)
-
-    @staticmethod
     def c_d(d, dims):
         """Lower constant (1/(2 sqrt d)) (d! / prod sqrt(d_i!))^(1/d)."""
         val = math.factorial(d)
@@ -75,26 +51,12 @@ class ConstantsCatalog:
         return val ** (1.0 / d) / (2.0 * math.sqrt(d))
 
     @staticmethod
-    def c_d_alt(d, dims):
-        log = math.lgamma(d + 1)
-        for d_i in dims:
-            log -= 0.5 * math.lgamma(d_i + 1)
-        return math.exp(log / d - math.log(2.0) - 0.5 * math.log(d))
-
-    @staticmethod
     def reverse_lw(d, dims):
         """Thin-shadow product constant d^(d/2) / prod sqrt(d_j!)."""
         val = float(d) ** (0.5 * d)
         for d_i in dims:
             val /= math.sqrt(math.factorial(d_i))
         return val
-
-    @staticmethod
-    def reverse_lw_alt(d, dims):
-        log = 0.5 * d * math.log(d)
-        for d_i in dims:
-            log -= 0.5 * math.lgamma(d_i + 1)
-        return math.exp(log)
 
     @staticmethod
     def q_bezout(d, j, dims, s):
@@ -111,32 +73,12 @@ class ConstantsCatalog:
         return val
 
     @staticmethod
-    def q_bezout_alt(d, j, dims, s):
-        r = len(dims)
-        lomega = lambda m: 0.5 * m * LOG_PI - math.lgamma(0.5 * m + 1.0)  # noqa: E731
-        log = -r / (s * j) * lomega(d)
-        log += (math.lgamma(d + 1) + lomega(d) - math.lgamma(d - j + 1) - lomega(d - j)) / j
-        for d_i in dims:
-            log += (
-                _log_comb(j, d_i) + lomega(d - d_i) - _log_comb(d, d_i) - math.lgamma(d_i + 1)
-            ) / (s * j)
-        return math.exp(log)
-
-    @staticmethod
     def big_c_ell(d, dims, weights):
         """Ellipsoid shadow-product constant omega_d / prod omega_{d_j}^{p_j}."""
         val = ball_volume(d)
         for d_j, p_j in zip(dims, weights):
             val /= ball_volume(d_j) ** p_j
         return val
-
-    @staticmethod
-    def big_c_ell_alt(d, dims, weights):
-        lomega = lambda m: 0.5 * m * LOG_PI - math.lgamma(0.5 * m + 1.0)  # noqa: E731
-        log = lomega(d)
-        for d_j, p_j in zip(dims, weights):
-            log -= p_j * lomega(d_j)
-        return math.exp(log)
 
     @staticmethod
     def c_ell(d, dims, weights):
@@ -146,14 +88,6 @@ class ConstantsCatalog:
         for d_j, p_j in zip(dims, weights):
             val *= (d_j ** (0.5 * d_j) / ball_volume(d_j)) ** p_j
         return val
-
-    @staticmethod
-    def c_ell_alt(d, dims, weights):
-        lomega = lambda m: 0.5 * m * LOG_PI - math.lgamma(0.5 * m + 1.0)  # noqa: E731
-        log = lomega(d) - 0.5 * d * math.log(d)
-        for d_j, p_j in zip(dims, weights):
-            log += p_j * (0.5 * d_j * math.log(d_j) - lomega(d_j))
-        return math.exp(log)
 
     @staticmethod
     def c_dp(d, p):
@@ -168,14 +102,6 @@ class ConstantsCatalog:
             * math.gamma((d + 1) / 2.0)
             / math.gamma((d + p + 1) / 2.0)
         )
-
-    @staticmethod
-    def c_dp_alt(d, p):
-        lomega = lambda m: 0.5 * m * LOG_PI - math.lgamma(0.5 * m + 1.0)  # noqa: E731
-        log = math.log((d + p) / p) + lomega(d - 1) - lomega(d)
-        log += math.lgamma((p + 1) / 2.0) + math.lgamma((d + 1) / 2.0)
-        log -= math.lgamma((d + p + 1) / 2.0)
-        return math.exp(log)
 
     @staticmethod
     def c_dp_sharp(d, p):
@@ -194,56 +120,6 @@ class ConstantsCatalog:
         return math.gamma(d / p + 1.0) ** (1.0 / d) / (d ** (1.0 / p) * 2.0 * math.gamma(1.0 / p + 1.0))
 
     @staticmethod
-    def c0_alt(d, p):
-        log = math.lgamma(d / p + 1.0) / d
-        log -= math.log(d) / p + math.log(2.0) + math.lgamma(1.0 / p + 1.0)
-        return math.exp(log)
-
-    @staticmethod
     def lp_ball_volume(d, p):
         """|{x : sum |x_i|^p <= 1}| = (2 Gamma(1/p + 1))^d / Gamma(d/p + 1)."""
         return (2.0 * math.gamma(1.0 / p + 1.0)) ** d / math.gamma(d / p + 1.0)
-
-    @staticmethod
-    def lp_ball_volume_alt(d, p):
-        return math.exp(
-            d * (math.log(2.0) + math.lgamma(1.0 / p + 1.0)) - math.lgamma(d / p + 1.0)
-        )
-
-    @classmethod
-    def self_check(cls, dims_max=9, p_grid=(0.5, 1.0, 1.5, 2.0, 3.0, 6.0)) -> float:
-        """Max relative disagreement of the paired routes over a sample grid."""
-        worst = 0.0
-
-        def rel(a, b):
-            return abs(a - b) / max(abs(a), abs(b), 1e-300)
-
-        for m in range(dims_max + 1):
-            worst = max(worst, rel(cls.omega(m), cls.omega_alt(m)))
-        partitions = {
-            2: [(1, 1), (2,)],
-            3: [(1, 1, 1), (1, 2), (3,)],
-            4: [(1, 1, 2), (2, 2), (1, 3)],
-            5: [(1, 2, 2), (2, 3), (1, 1, 3)],
-        }
-        for d, parts in partitions.items():
-            for dims in parts:
-                worst = max(worst, rel(cls.b_d(d, dims), cls.b_d_alt(d, dims)))
-                worst = max(worst, rel(cls.c_d(d, dims), cls.c_d_alt(d, dims)))
-                worst = max(worst, rel(cls.reverse_lw(d, dims), cls.reverse_lw_alt(d, dims)))
-                weights = [1.0] * len(dims)
-                worst = max(
-                    worst,
-                    rel(cls.big_c_ell(d, dims, weights), cls.big_c_ell_alt(d, dims, weights)),
-                )
-                worst = max(worst, rel(cls.c_ell(d, dims, weights), cls.c_ell_alt(d, dims, weights)))
-                j = sum(dims)
-                if j <= d:
-                    worst = max(
-                        worst, rel(cls.q_bezout(d, j, dims, 1), cls.q_bezout_alt(d, j, dims, 1))
-                    )
-            for p in p_grid:
-                worst = max(worst, rel(cls.c_dp(d, p), cls.c_dp_alt(d, p)))
-                worst = max(worst, rel(cls.c0(d, p), cls.c0_alt(d, p)))
-                worst = max(worst, rel(cls.lp_ball_volume(d, p), cls.lp_ball_volume_alt(d, p)))
-        return worst

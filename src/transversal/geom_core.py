@@ -23,8 +23,9 @@ from .hypersurface import UniformCover, validate_cover
 DEGENERATE_DET = 1e-14
 
 #: Gram determinants this far below the Hadamard bound (product of squared
-#: row norms) have lost about half their digits to LU cancellation, which a
-#: square root then doubles; such values are recomputed from singular values.
+#: row norms) have lost about half their digits to LU cancellation; the square
+#: root of a wedge norm halves that relative error but leaves it near 1e-8,
+#: so such values are recomputed from singular values.
 WEDGE_REFINE_REL = 1e-8
 
 

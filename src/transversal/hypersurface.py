@@ -70,11 +70,20 @@ class DiscreteHypersurface:
         return bool(np.all(np.abs(np.linalg.norm(self.vectors, axis=1) - 1.0) <= tol))
 
     def spans(self, tol=1e-12):
-        """True when the atom vectors span R^d."""
+        """True when the atom vectors span R^d: sigma_d > tol * sigma_1 (scale-free)."""
         if self.m < self.d:
             return False
         s = np.linalg.svd(self.vectors, compute_uv=False)
-        return bool(s[self.d - 1] > tol * max(s[0], 1.0))
+        return bool(s[self.d - 1] > tol * s[0])
+
+    def whiten(self):
+        """Singular values sigma (descending) and right singular vectors (rows
+        of Qt) of the rows sqrt(w_i) v_i: T = sum_i w_i v_i v_i^T is
+        Qt^T diag(sigma^2) Qt, and every route that needs T, T^(-1/2), det T
+        or eig T reads them here.  They keep the small directions about
+        sqrt(cond T) times more accurate than eigenvalues of T itself.  Not
+        cached, because the arrays are writable."""
+        return np.linalg.svd(np.sqrt(self.weights)[:, None] * self.vectors, full_matrices=False)[1:]
 
     def map(self, A, label=None):
         """Surface with the same weights and vectors A @ v_i."""

@@ -8,8 +8,8 @@ assert the derived form and report the printed form's status in ``details``
 without asserting it.
 
 Each reported quantity comes from the one library kernel that defines it
-(``kp_volume``, ``EllipsoidBody``, ``covariance``, ``lewis._norm_a``,
-``q_exact``); ``run_check`` stamps every report with ``params["seed"]``.
+(``kp_volume``, ``EllipsoidBody``, ``DiscreteHypersurface.whiten``,
+``lewis._norm_a``, ``q_exact``); ``run_check`` stamps every report with ``params["seed"]``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .transversality import (
 from .volumes import (
     EllipsoidBody,
     _sphere_rule,
-    covariance,
     santalo_check,
     sigma2_plane,
     vis_p,
@@ -143,11 +142,10 @@ def _random_partition(d, rng, dims=None):
 
 
 def _weighted_cover(d, rng, params):
-    """Either a random partition (weights 1) or the leave-one-out cover
-    (all (d-1)-subsets, weights 1/(d-1))."""
-    if params.get("cover") == "leave-one-out" or (
-        "cover" not in params and "dims" not in params and d >= 2 and rng.random() < 0.3
-    ):
+    """Either a random partition (weights 1) or, with probability 0.3 when
+    ``dims`` is not given, the leave-one-out cover (all (d-1)-subsets,
+    weights 1/(d-1))."""
+    if "dims" not in params and d >= 2 and rng.random() < 0.3:
         sets = [tuple(j for j in range(d) if j != i) for i in range(d)]
         weights = [1.0 / (d - 1)] * d
         return sets, weights
@@ -178,8 +176,7 @@ def _spd_matrix(d, rng, spread=1.0):
 
 def _vis_estimate(s, p, params):
     n = int(params.get("n_samples", 200_000))
-    method = params.get("vis_method", "auto")
-    return vis_p(s, p, method, n_samples=n, seed=int(params.get("seed", 0)) + 7)
+    return vis_p(s, p, n_samples=n, seed=int(params.get("seed", 0)) + 7)
 
 
 def _vis_upper_constant(d, p):
@@ -205,9 +202,7 @@ def _check_finner_rho(instance, params):
         surfaces = [random_surface(d, m, int(params.get("seed", 0)) + 13 * k) for k in range(j)]
     else:
         raise ValueError("FINNER_RHO takes a surface or a list of surfaces")
-    if "cover_sets" in params:
-        cover = UniformCover(j, params["cover_sets"], alphas=params["cover_alphas"])
-    elif j >= 3:
+    if j >= 3:
         sets = [(i, (i + 1) % j) for i in range(j)]
         cover = UniformCover(j, sets, alphas=(0.5,) * j)
     else:
@@ -229,11 +224,7 @@ def _check_bezout(instance, params):
         zonotopes = [Zonotope(d, rng.normal(size=(n_gens, d))) for _ in range(j)]
     else:
         raise ValueError("BEZOUT takes a list of zonotopes")
-    if "cover_sets" in params:
-        cover = UniformCover(j, params["cover_sets"], s=int(params.get("s", 1)))
-    else:
-        cover = UniformCover(j, [(i,) for i in range(j)], s=1)
-    return bezout_check(Ball(d), zonotopes, cover)
+    return bezout_check(Ball(d), zonotopes, UniformCover(j, [(i,) for i in range(j)], s=1))
 
 
 def _check_maximizer(instance, params):
@@ -297,8 +288,7 @@ def _check_affine_lw(instance, params):
     rng = _rng(params)
     s = _get_surface(instance, params, m=5)
     d = s.d
-    W = params.get("basis")
-    W = np.asarray(W, dtype=float) if W is not None else rng.normal(size=(d, d))
+    W = rng.normal(size=(d, d))
     if abs(np.linalg.det(W)) < 1e-8:
         W = W + np.eye(d)
     sets, weights = _weighted_cover(d, rng, params)
@@ -329,7 +319,7 @@ def _check_vis_p1_upper(instance, params):
     d = s.d
     sets, dims = _random_partition(d, rng, params.get("dims"))
     b_d = ConstantsCatalog.b_d(d, dims)
-    n_frames = int(params.get("n_frames", 4))
+    n_frames = 4
     worst_rhs = None
     frame_margins = []
     for k in range(n_frames):
@@ -457,14 +447,12 @@ def _check_ellipsoid_lw(instance, params):
         M = np.diag(np.diag(M))
         instance = None  # the diagonal part replaces a given body
     E = _ellipsoid(instance, M)
-    if params.get("basis") is not None:
-        W = np.asarray(params["basis"], dtype=float)
-    elif params.get("oblique", True) and not params.get("diagonal"):
+    if params.get("diagonal"):
+        W = np.eye(d)
+    else:
         W = rng.normal(size=(d, d))
         if abs(np.linalg.det(W)) < 1e-8:
             W = W + np.eye(d)
-    else:
-        W = np.eye(d)
     sets, weights = _weighted_cover(d, rng, params)
     dims = [len(A) for A in sets]
     vol = E.volume()
@@ -499,7 +487,7 @@ def _check_ellipsoid_lw(instance, params):
         "dims": dims,
         "relation": "sandwich (upper + section lower asserted)",
     }
-    if params.get("diagonal") and params.get("basis") is None:
+    if params.get("diagonal"):
         ratio = upper_rhs / vol
         details["upper_equality_ratio"] = ratio
         if abs(ratio - 1.0) > 1e-10:
@@ -520,8 +508,8 @@ def _check_vis_p2_q(instance, params):
     rng = _rng(params)
     s = _get_surface(instance, params, m=7)
     d = s.d
-    frame = np.linalg.eigh(covariance(s).T)[1].T  # eigenbasis rows of the covariance form
     vis2 = vis_p(s, 2.0, "exact").value
+    frame = s.whiten()[1][::-1]  # eigenbasis rows of T, smallest eigenvalue first
     axis_prod = 1.0
     for i in range(d):
         axis_prod *= sigma2_plane(s, frame[[i]])
@@ -741,7 +729,7 @@ def _check_nu_measure(instance, params):
         h_quad = constant * float(kernel @ dens)
         h_exact = E.support(x)
         worst = max(worst, abs(h_quad - h_exact) / max(h_exact, 1e-300))
-    tol = float(params.get("tol", 1e-6))
+    tol = 1e-6
     return make_report(
         "NU_MEASURE",
         (M, n_dirs),

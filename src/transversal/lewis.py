@@ -136,16 +136,11 @@ def lewis_solve(s: DiscreteHypersurface, p, *, tol=1e-9, max_iter=500) -> LewisR
 
 
 def lewis_p2_closed_form(s: DiscreteHypersurface) -> np.ndarray:
-    """Exact Lewis 2-position (d T)^(-1/2), T the covariance form.
-
-    T = B^T B for the rows sqrt(w_i) v_i of B, so with B = P diag(sigma) Q^T
-    the position is Q diag(1 / (sqrt(d) sigma)) Q^T: singular values of B
-    keep the small directions about sqrt(cond T) times more accurate than
-    eigenvalues of T itself.
-    """
+    """Exact Lewis 2-position (d T)^(-1/2) = Q diag(1 / (sqrt(d) sigma)) Q^T,
+    T the covariance form, from its factors ``s.whiten()``."""
     if not s.spans(tol=1e-12):
         raise ValueError("atoms must span R^d for a Lewis position to exist")
-    _, sv, Qt = np.linalg.svd(np.sqrt(s.weights)[:, None] * s.vectors, full_matrices=False)
+    sv, Qt = s.whiten()
     return (Qt.T / (math.sqrt(s.d) * sv)) @ Qt
 
 

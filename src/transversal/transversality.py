@@ -171,15 +171,12 @@ def _cauchy_binet_sum(s, j):
     deficiency.
 
     By Cauchy-Binet the sum over ordered tuples of prod w_k det Gram(v_1..v_j)
-    is j! e_j(eig T), with T = sum_i w_i v_i v_i^T = B^T B for the rows
-    sqrt(w_i) v_i of B.  The eigenvalues are taken as squared singular values
-    of B, which keeps the small ones about sqrt(cond T) times more accurate
-    than eigenvalues of T itself.
+    is j! e_j(eig T), with T = sum_i w_i v_i v_i^T, whose eigenvalues are the
+    squared singular values of ``s.whiten()``.
     """
-    B = np.sqrt(s.weights)[:, None] * s.vectors
     e = np.zeros(j + 1)
     e[0] = 1.0
-    for lam in np.linalg.svd(B, compute_uv=False) ** 2:
+    for lam in s.whiten()[0] ** 2:
         e[1:] += lam * e[:-1]
     if e[j] <= CB_REL * e[1] * e[j - 1]:
         return None
@@ -442,8 +439,8 @@ def jp_bound_check(surface: DiscreteHypersurface, p, *, seed=0):
     G = surface.vectors @ surface.vectors.T
     gsq = G**2
     zero_one = bool(np.all(np.abs(gsq * (1.0 - gsq)) <= 1e-12))
-    M = (surface.weights[:, None] * surface.vectors).T @ surface.vectors
-    isotropic = bool(np.max(np.abs(M - np.eye(d) / d)) <= 1e-12)
+    sv, Qt = surface.whiten()  # second-moment matrix (Qt^T sv^2) Qt
+    isotropic = bool(np.max(np.abs((Qt.T * sv**2) @ Qt - np.eye(d) / d)) <= 1e-12)
     certificate = zero_one and isotropic
     verdict = verdict_leq(lhs, rhs, 0.0)
     gap = rhs - lhs

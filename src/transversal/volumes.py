@@ -34,7 +34,7 @@ import numpy as np
 from .constants import ball_volume
 from .hypersurface import DiscreteHypersurface
 from .reports import Estimate, make_report
-from .transversality import CHUNK, DEFAULT_BUDGET, _q_sum, q_exact
+from .transversality import CHUNK, DEFAULT_BUDGET, q_exact
 from .zonotope import Zonotope, _check_frame, projection_body
 
 #: exact polar-volume route is enabled only for small zonotopes
@@ -91,13 +91,12 @@ def covariance(s: DiscreteHypersurface) -> EllipsoidBody:
     """Covariance ellipsoid body with T = sum_i w_i v_i v_i^T.
 
     Satisfies the identity d! * det T = Q_d^2(s)^(2d).  Errors when the atoms
-    fail to span (smallest eigenvalue <= 1e-12 * trace).
+    fail to span (``s.spans()``).
     """
-    T = (s.weights[:, None] * s.vectors).T @ s.vectors
-    eigs = np.linalg.eigvalsh(T)
-    if eigs[0] <= 1e-12 * float(np.trace(T)):
+    if not s.spans():
         raise ValueError("covariance form is numerically singular: atoms do not span R^d")
-    return EllipsoidBody(T)
+    sv, Qt = s.whiten()
+    return EllipsoidBody((Qt.T * sv**2) @ Qt)
 
 
 def kp_norm(s: DiscreteHypersurface, p, y) -> float:
@@ -128,7 +127,8 @@ def polar_zonotope_volume(z: Zonotope) -> float:
 
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
     normals = signs @ z.generators
-    keep = np.linalg.norm(normals, axis=1) > 1e-12
+    norms = np.linalg.norm(normals, axis=1)
+    keep = norms > 1e-12 * norms.max()
     halfspaces = np.hstack([normals[keep], -np.ones((int(keep.sum()), 1))])
     interior = np.zeros(d)
     hs = HalfspaceIntersection(halfspaces, interior)
@@ -288,12 +288,12 @@ def _quadrature_volume(s, p):
     eccentricity of K^p(s).  The error bar is the gap to the n-node rule,
     floored at 8 kappa ulps of the value, kappa = cond(A): the round-off
     that the whitened inner products carry, which both rules share."""
-    lam, U = np.linalg.eigh((s.weights[:, None] * s.vectors).T @ s.vectors)
-    V = s.vectors @ (U / np.sqrt(lam)) @ U.T
+    sv, Qt = s.whiten()
+    V = s.vectors @ (Qt.T / sv) @ Qt
     n = _QUAD_NODES[s.d]
-    scale = float(np.prod(lam)) ** -0.5
+    scale = 1.0 / float(np.prod(sv))
     coarse, value = (scale * _quadrature_sum(V, s.weights, p, k) for k in (n, 2 * n))
-    floor = 8.0 * math.sqrt(lam[-1] / lam[0]) * math.ulp(value)
+    floor = 8.0 * (sv[0] / sv[-1]) * math.ulp(value)
     return Estimate(value, max(abs(value - coarse), floor), "quadrature")
 
 
@@ -322,8 +322,7 @@ def kp_volume(s, p, method="auto", *, n_samples=100_000, seed=0) -> Estimate:
             method = "radial_mc"
     if method == "exact":
         if p == 2.0:
-            sv = np.linalg.svd(np.sqrt(s.weights)[:, None] * s.vectors, compute_uv=False)
-            return Estimate(ball_volume(d) / float(np.prod(sv)), 0.0, "exact")
+            return Estimate(ball_volume(d) / float(np.prod(s.whiten()[0])), 0.0, "exact")
         if p == 1.0:
             return Estimate(polar_zonotope_volume(projection_body(s)), 0.0, "exact")
         raise ValueError(f"no exact route for p={p}; use method='quadrature' or 'radial_mc'")
@@ -402,16 +401,7 @@ def santalo_check(s: DiscreteHypersurface, *, n_samples=1_000_000, seed=0):
 def sigma2_plane(s: DiscreteHypersurface, frame) -> float:
     """Quadratic plane shadow sqrt(k! det(F T F^T)), T the covariance form."""
     F = _check_frame(frame, s.d)
-    k = F.shape[0]
-    T = (s.weights[:, None] * s.vectors).T @ s.vectors
-    det = max(float(np.linalg.det(F @ T @ F.T)), 0.0)
-    return math.sqrt(math.factorial(k) * det)
-
-
-def sigma2_plane_direct(s: DiscreteHypersurface, frame) -> float:
-    """Same functional by direct enumeration:
-    sqrt( sum over ordered k-tuples prod w * |P_E v_1 ^ ... ^ P_E v_k|^2 )."""
-    F = _check_frame(frame, s.d)
-    k = F.shape[0]
-    projected = DiscreteHypersurface(k, zip(s.weights, s.vectors @ F.T), label="projected")
-    return math.sqrt(_q_sum([projected] * k, 2.0))
+    sv, Qt = s.whiten()
+    C = (F @ Qt.T) * sv  # F T F^T = C C^T
+    det = max(float(np.linalg.det(C @ C.T)), 0.0)
+    return math.sqrt(math.factorial(F.shape[0]) * det)

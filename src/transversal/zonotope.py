@@ -2,9 +2,9 @@
 
 A zonotope with generators g_1..g_m is the Minkowski sum of the segments
 [-g_i, g_i].  The projection body of a discrete hypersurface has generators
-w_i * v_i; plane shadows of the projection body admit two independent
-computation routes (determinant expansion vs direct tuple enumeration), kept
-separate on purpose so they can cross-check each other.
+w_i * v_i; plane shadows of the projection body come from determinant
+expansion (``sigma_plane``), which the tests cross-check against direct
+tuple enumeration.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from .constants import ConstantsCatalog, ball_volume
 from .geom_core import gram_dets
 from .hypersurface import DiscreteHypersurface, UniformCover, validate_cover
 from .reports import make_report, verdict_leq
-from .transversality import DEFAULT_BUDGET, _index_blocks, _q_sum
+from .transversality import DEFAULT_BUDGET, _index_blocks
 
-#: tolerance for rank decisions on generator subsets
+#: Zonotope.rank counts singular values above RANK_TOL times the largest
 RANK_TOL = 1e-10
 
 
@@ -66,7 +66,7 @@ class Zonotope:
 
     def rank(self):
         s = np.linalg.svd(self.generators, compute_uv=False)
-        return int(np.sum(s > RANK_TOL * max(s[0], 1.0)))
+        return int(np.sum(s > RANK_TOL * s[0]))
 
     def to_dict(self):
         return {"body": "zonotope", "d": self.d, "generators": self.generators.tolist()}
@@ -122,21 +122,6 @@ def sigma_plane(s: DiscreteHypersurface, frame) -> float:
     return math.factorial(k) / (2.0**k) * vol
 
 
-def sigma_plane_direct(s: DiscreteHypersurface, frame) -> float:
-    """Same functional by direct k-fold tuple enumeration:
-
-        sum over ordered k-tuples  prod w  *  |P_E v_1 ^ ... ^ P_E v_k|.
-
-    Independent of the determinant-expansion route in sigma_plane.
-    """
-    F = _check_frame(frame, s.d)
-    k = F.shape[0]
-    projected = DiscreteHypersurface(
-        k, zip(s.weights, s.vectors @ F.T), label=f"{s.label}|projected"
-    )
-    return _q_sum([projected] * k, 1.0)
-
-
 def _normal_frame(W):
     """Orthonormal rows spanning the orthogonal complement of the rows of W."""
     k, d = W.shape
@@ -165,9 +150,10 @@ def mixed_volume(body, multiplicity, entries, *, budget=DEFAULT_BUDGET) -> float
         |w_1 ^ ... ^ w_k| * |P_{W^perp} body| / (k! * C(d, k)),
 
     and tuples with dependent directions contribute 0.  Tuples are taken in
-    chunks with batched Gram determinants (geom_core.gram_dets, whose rank
-    floor makes an exactly dependent tuple's determinant 0, not round-off
-    that the RANK_TOL rule could keep); a Ball's shadow is the constant
+    chunks with batched Gram determinants (geom_core.gram_dets), and a tuple
+    is kept exactly when its determinant is positive: the kernel's rank
+    floor, relative to the tuple's largest singular value, makes a dependent
+    tuple's determinant 0 at any scale; a Ball's shadow is the constant
     omega_{d-k}, and only a Zonotope body computes a shadow per surviving
     tuple.  ``budget`` bounds the entry tuples, the product of the entries'
     generator counts (or, with no entries, the body's volume expansion).
@@ -194,8 +180,7 @@ def mixed_volume(body, multiplicity, entries, *, budget=DEFAULT_BUDGET) -> float
     for idx in _index_blocks([G.shape[0] for G in gens], budget=budget):
         V = np.stack([G[idx[:, i]] for i, G in enumerate(gens)], axis=1)
         det = gram_dets(V)
-        scale = np.prod(np.clip(np.einsum("nkd,nkd->nk", V, V), 1.0, None), axis=1)
-        keep = det > (RANK_TOL**2) * scale
+        keep = det > 0.0
         wedge = np.sqrt(det[keep])
         if k == d:
             shadow = 1.0

@@ -6,6 +6,13 @@ expansion, the Finner refinement a loop over all ordered tuples, sphere
 integrals use 1-D quadrature, zonogon areas use an explicit vertex walk,
 Minkowski-sum volumes use Monte Carlo membership with closed-form
 distances, and mixed volumes use a per-tuple loop.
+
+Three second routes do call the package, each through a kernel other than
+the one it checks: the registry constants by log-gamma (``ConstantsCatalog``
+here extends the package's catalog with a ``<name>_alt`` per constant and
+``self_check``), and the plane shadows ``sigma_plane`` (determinant
+expansion) and ``sigma2_plane`` (covariance form) by direct tuple
+enumeration with ``transversality._q_sum``.
 """
 
 from __future__ import annotations
@@ -15,6 +22,13 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+
+from transversal import constants
+from transversal.hypersurface import DiscreteHypersurface
+from transversal.transversality import _q_sum
+from transversal.zonotope import _check_frame
+
+LOG_PI = constants.LOG_PI
 
 
 def det_cofactor(A):
@@ -204,3 +218,155 @@ def mixed_volume_oracle(d, entries, body_generators=None, rank_tol=1e-10):
             )
         total += math.sqrt(det) * shadow
     return 2.0**doubles * total / (math.factorial(k) * math.comb(d, k))
+
+
+def ball_volume_loggamma(m) -> float:
+    """Same constant as pi^(m/2) / Gamma(m/2 + 1)."""
+    m = int(m)
+    if m < 0:
+        raise ValueError("dimension must be >= 0")
+    return math.exp(0.5 * m * LOG_PI - math.lgamma(0.5 * m + 1.0))
+
+
+def _log_comb(n, k):
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
+class ConstantsCatalog(constants.ConstantsCatalog):
+    """The registry constants plus, for each, an independent log-gamma route
+    <name>_alt, and ``self_check`` over both."""
+
+    @staticmethod
+    def omega_alt(m):
+        return ball_volume_loggamma(m)
+
+    @staticmethod
+    def b_d_alt(d, dims):
+        log = math.lgamma(d + 1) - d * math.log(2.0)
+        for d_i in dims:
+            log -= math.lgamma(d_i + 1)
+        return math.exp(log / d)
+
+    @staticmethod
+    def c_d_alt(d, dims):
+        log = math.lgamma(d + 1)
+        for d_i in dims:
+            log -= 0.5 * math.lgamma(d_i + 1)
+        return math.exp(log / d - math.log(2.0) - 0.5 * math.log(d))
+
+    @staticmethod
+    def reverse_lw_alt(d, dims):
+        log = 0.5 * d * math.log(d)
+        for d_i in dims:
+            log -= 0.5 * math.lgamma(d_i + 1)
+        return math.exp(log)
+
+    @staticmethod
+    def q_bezout_alt(d, j, dims, s):
+        r = len(dims)
+        lomega = lambda m: 0.5 * m * LOG_PI - math.lgamma(0.5 * m + 1.0)  # noqa: E731
+        log = -r / (s * j) * lomega(d)
+        log += (math.lgamma(d + 1) + lomega(d) - math.lgamma(d - j + 1) - lomega(d - j)) / j
+        for d_i in dims:
+            log += (
+                _log_comb(j, d_i) + lomega(d - d_i) - _log_comb(d, d_i) - math.lgamma(d_i + 1)
+            ) / (s * j)
+        return math.exp(log)
+
+    @staticmethod
+    def big_c_ell_alt(d, dims, weights):
+        lomega = lambda m: 0.5 * m * LOG_PI - math.lgamma(0.5 * m + 1.0)  # noqa: E731
+        log = lomega(d)
+        for d_j, p_j in zip(dims, weights):
+            log -= p_j * lomega(d_j)
+        return math.exp(log)
+
+    @staticmethod
+    def c_ell_alt(d, dims, weights):
+        lomega = lambda m: 0.5 * m * LOG_PI - math.lgamma(0.5 * m + 1.0)  # noqa: E731
+        log = lomega(d) - 0.5 * d * math.log(d)
+        for d_j, p_j in zip(dims, weights):
+            log += p_j * (0.5 * d_j * math.log(d_j) - lomega(d_j))
+        return math.exp(log)
+
+    @staticmethod
+    def c_dp_alt(d, p):
+        lomega = lambda m: 0.5 * m * LOG_PI - math.lgamma(0.5 * m + 1.0)  # noqa: E731
+        log = math.log((d + p) / p) + lomega(d - 1) - lomega(d)
+        log += math.lgamma((p + 1) / 2.0) + math.lgamma((d + 1) / 2.0)
+        log -= math.lgamma((d + p + 1) / 2.0)
+        return math.exp(log)
+
+    @staticmethod
+    def c0_alt(d, p):
+        log = math.lgamma(d / p + 1.0) / d
+        log -= math.log(d) / p + math.log(2.0) + math.lgamma(1.0 / p + 1.0)
+        return math.exp(log)
+
+    @staticmethod
+    def lp_ball_volume_alt(d, p):
+        return math.exp(
+            d * (math.log(2.0) + math.lgamma(1.0 / p + 1.0)) - math.lgamma(d / p + 1.0)
+        )
+
+    @classmethod
+    def self_check(cls, dims_max=9, p_grid=(0.5, 1.0, 1.5, 2.0, 3.0, 6.0)) -> float:
+        """Max relative disagreement of the paired routes over a sample grid."""
+        worst = 0.0
+
+        def rel(a, b):
+            return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+        for m in range(dims_max + 1):
+            worst = max(worst, rel(cls.omega(m), cls.omega_alt(m)))
+        partitions = {
+            2: [(1, 1), (2,)],
+            3: [(1, 1, 1), (1, 2), (3,)],
+            4: [(1, 1, 2), (2, 2), (1, 3)],
+            5: [(1, 2, 2), (2, 3), (1, 1, 3)],
+        }
+        for d, parts in partitions.items():
+            for dims in parts:
+                worst = max(worst, rel(cls.b_d(d, dims), cls.b_d_alt(d, dims)))
+                worst = max(worst, rel(cls.c_d(d, dims), cls.c_d_alt(d, dims)))
+                worst = max(worst, rel(cls.reverse_lw(d, dims), cls.reverse_lw_alt(d, dims)))
+                weights = [1.0] * len(dims)
+                worst = max(
+                    worst,
+                    rel(cls.big_c_ell(d, dims, weights), cls.big_c_ell_alt(d, dims, weights)),
+                )
+                worst = max(worst, rel(cls.c_ell(d, dims, weights), cls.c_ell_alt(d, dims, weights)))
+                j = sum(dims)
+                if j <= d:
+                    worst = max(
+                        worst, rel(cls.q_bezout(d, j, dims, 1), cls.q_bezout_alt(d, j, dims, 1))
+                    )
+            for p in p_grid:
+                worst = max(worst, rel(cls.c_dp(d, p), cls.c_dp_alt(d, p)))
+                worst = max(worst, rel(cls.c0(d, p), cls.c0_alt(d, p)))
+                worst = max(worst, rel(cls.lp_ball_volume(d, p), cls.lp_ball_volume_alt(d, p)))
+        return worst
+
+
+def sigma_plane_direct(s: DiscreteHypersurface, frame) -> float:
+    """sigma_plane's functional by direct k-fold tuple enumeration:
+
+        sum over ordered k-tuples  prod w  *  |P_E v_1 ^ ... ^ P_E v_k|.
+
+    Independent of the determinant-expansion route in sigma_plane.
+    """
+    F = _check_frame(frame, s.d)
+    k = F.shape[0]
+    projected = DiscreteHypersurface(
+        k, zip(s.weights, s.vectors @ F.T), label=f"{s.label}|projected"
+    )
+    return _q_sum([projected] * k, 1.0)
+
+
+def sigma2_plane_direct(s: DiscreteHypersurface, frame) -> float:
+    """sigma2_plane's functional by direct enumeration:
+    sqrt( sum over ordered k-tuples prod w * |P_E v_1 ^ ... ^ P_E v_k|^2 )."""
+    F = _check_frame(frame, s.d)
+    k = F.shape[0]
+    projected = DiscreteHypersurface(k, zip(s.weights, s.vectors @ F.T), label="projected")
+    return math.sqrt(_q_sum([projected] * k, 2.0))

@@ -2,7 +2,9 @@ import math
 
 import pytest
 
-from transversal.constants import ConstantsCatalog, ball_volume, ball_volume_loggamma
+from transversal.constants import ball_volume
+
+from oracles import ConstantsCatalog, ball_volume_loggamma
 
 
 def test_ball_volume_frozen_values():

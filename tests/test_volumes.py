@@ -23,10 +23,11 @@ from transversal.volumes import (
     polar_zonotope_volume,
     santalo_check,
     sigma2_plane,
-    sigma2_plane_direct,
     vis_p,
 )
 from transversal.zonotope import Zonotope, projection_body
+
+from oracles import sigma2_plane_direct
 
 
 def test_ellipsoid_body_validation_and_volume():

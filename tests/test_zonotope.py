@@ -19,11 +19,16 @@ from transversal.zonotope import (
     project_zonotope,
     projection_body,
     sigma_plane,
-    sigma_plane_direct,
     zonotope_volume,
 )
 
-from oracles import cross3, mc_ball_plus_segment_volume, mixed_volume_oracle, zonogon_area
+from oracles import (
+    cross3,
+    mc_ball_plus_segment_volume,
+    mixed_volume_oracle,
+    sigma_plane_direct,
+    zonogon_area,
+)
 
 
 def test_cube_volume():
