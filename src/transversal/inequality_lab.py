@@ -1,11 +1,11 @@
 """Registry of named inequality checks.
 
-Every check computes a left-hand side, a right-hand side with an explicit
-constant, and a verdict.  Claims are normalized to ``lhs <= rhs``; identities
-are checked against a pinned residual tolerance.  Checks whose printed
-constant disagrees with the constant their own derivation chain produces
-assert the derived form and report the printed form's status in ``details``
-without asserting it.
+Every check states its sub-claims as ``reports.Claim`` records (bounds
+``leq``, identities and equality cases ``eq`` with a pinned tolerance, strict
+gaps ``lt``) and takes the worst verdict of the asserted ones.  Checks whose
+printed constant disagrees with the constant their own derivation chain
+produces assert the derived form and report the printed form as an
+unasserted claim.
 
 Each reported quantity comes from the one library kernel that defines it
 (``kp_volume``, ``EllipsoidBody``, ``DiscreteHypersurface.whiten``,
@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 
 import numpy as np
@@ -32,7 +32,7 @@ from .hypersurface import (
     random_surface,
 )
 from .lewis import _norm_a, det_u_lower_bound, lewis_solve
-from .reports import CheckReport, make_report, verdict_leq
+from .reports import SEVERITY, CheckReport, Claim, make_report, ok_flags, worst_verdict
 from .transversality import (
     finner_check,
     i_p,
@@ -153,6 +153,12 @@ def _weighted_cover(d, rng, params):
     return sets, [1.0] * len(sets)
 
 
+def _random_basis(d, rng):
+    """A random d x d matrix, shifted by the identity when nearly singular."""
+    W = rng.normal(size=(d, d))
+    return W + np.eye(d) if abs(np.linalg.det(W)) < 1e-8 else W
+
+
 def _orthonormal_span(W_rows):
     """Orthonormal rows spanning the row space of W_rows."""
     q, _ = np.linalg.qr(np.asarray(W_rows, dtype=float).T)
@@ -235,15 +241,8 @@ def _check_maximizer(instance, params):
     uniform = i_p_uniform_closed_form(d, p)
     if p <= 2.0:
         # the uniform direction measure maximizes the pairwise energy
-        report = make_report(
-            "MAXIMIZER",
-            (mu.to_dict(), p),
-            value,
-            uniform,
-            constant=uniform,
-            constant_formula="I_p(uniform)",
-            details={"regime": "p<=2", "p": p, "relation": "leq"},
-        )
+        claim, formula = Claim("bound", value, uniform), "I_p(uniform)"
+        details = {"regime": "p<=2", "p": p, "relation": "leq"}
     else:
         # above p = 2 the four-point orthogonal measure beats the uniform one
         eye = np.eye(d)
@@ -252,24 +251,25 @@ def _check_maximizer(instance, params):
             [(0.25, eye[0]), (0.25, -eye[0]), (0.25, eye[1]), (0.25, -eye[1])],
             "four-point",
         )
-        cross_value = i_p(cross, p)
-        report = make_report(
-            "MAXIMIZER",
-            (mu.to_dict(), p),
-            uniform,
-            cross_value,
-            constant=cross_value,
-            constant_formula="I_p(four-point) = 1/2",
-            details={
-                "regime": "p>2 (uniform not maximal)",
-                "p": p,
-                "i_p_instance": value,
-                "strict_gap": cross_value - uniform,
-                "relation": "lt",
-            },
-        )
-        if report.verdict == "pass" and cross_value - uniform <= 1e-12:
-            report.verdict = "fail"
+        claim = Claim("strict", uniform, i_p(cross, p), "lt", tol=1e-12)
+        formula = "I_p(four-point) = 1/2"
+        details = {
+            "regime": "p>2 (uniform not maximal)",
+            "p": p,
+            "i_p_instance": value,
+            "strict_gap": claim.rhs - uniform,
+            "relation": "lt",
+        }
+    report = make_report(
+        "MAXIMIZER",
+        (mu.to_dict(), p),
+        claim.lhs,
+        claim.rhs,
+        constant=claim.rhs,
+        constant_formula=formula,
+        claims=[claim],
+        details=details,
+    )
     if p >= 2.0:
         report.details["jp_bound"] = jp_bound_check(mu, p).to_dict()
     return report
@@ -288,9 +288,7 @@ def _check_affine_lw(instance, params):
     rng = _rng(params)
     s = _get_surface(instance, params, m=5)
     d = s.d
-    W = rng.normal(size=(d, d))
-    if abs(np.linalg.det(W)) < 1e-8:
-        W = W + np.eye(d)
+    W = _random_basis(d, rng)
     sets, weights = _weighted_cover(d, rng, params)
     Z = projection_body(s)
     lhs = zonotope_volume(Z)
@@ -320,29 +318,23 @@ def _check_vis_p1_upper(instance, params):
     sets, dims = _random_partition(d, rng, params.get("dims"))
     b_d = ConstantsCatalog.b_d(d, dims)
     n_frames = 4
-    worst_rhs = None
-    frame_margins = []
+    frame_rhs = []
     for k in range(n_frames):
         R = _random_rotation(d, rng) if k else np.eye(d)
         prod_sigma = 1.0
         for A in sets:
             prod_sigma *= sigma_plane(s, R[list(A)])
-        rhs = b_d * prod_sigma ** (1.0 / d)
-        frame_margins.append(rhs - vis)
-        if worst_rhs is None or rhs < worst_rhs:
-            worst_rhs = rhs
-    verdict = verdict_leq(vis, worst_rhs)
+        frame_rhs.append(b_d * prod_sigma ** (1.0 / d))
     return make_report(
         "VIS_P1_UPPER",
         (s.to_dict(), dims, n_frames),
         vis,
-        worst_rhs,
+        min(frame_rhs),
         constant=b_d,
         constant_formula="b_d = (d!/(2^d prod d_i!))^(1/d)",
-        verdict=verdict,
         details={
             "dims": dims,
-            "frame_margins": frame_margins,
+            "frame_margins": [rhs - vis for rhs in frame_rhs],
             "frames_checked": n_frames,
             "relation": "leq (worst sampled frame)",
         },
@@ -447,12 +439,7 @@ def _check_ellipsoid_lw(instance, params):
         M = np.diag(np.diag(M))
         instance = None  # the diagonal part replaces a given body
     E = _ellipsoid(instance, M)
-    if params.get("diagonal"):
-        W = np.eye(d)
-    else:
-        W = rng.normal(size=(d, d))
-        if abs(np.linalg.det(W)) < 1e-8:
-            W = W + np.eye(d)
+    W = np.eye(d) if params.get("diagonal") else _random_basis(d, rng)
     sets, weights = _weighted_cover(d, rng, params)
     dims = [len(A) for A in sets]
     vol = E.volume()
@@ -467,18 +454,18 @@ def _check_ellipsoid_lw(instance, params):
     upper_rhs = C_ell * bl2 * proj_prod
     printed_lower_lhs = (c_ell / bl2) * proj_prod
     section_lower_lhs = (c_ell / bl2) * sect_prod
-    upper_ok = verdict_leq(vol, upper_rhs) == "pass"
-    section_ok = verdict_leq(section_lower_lhs, vol) == "pass"
-    verdict = "pass" if (upper_ok and section_ok) else "fail"
-    details = {
-        "upper_ok": upper_ok,
-        "section_lower_ok": section_ok,
+    claims = [
+        Claim("upper", vol, upper_rhs),
+        Claim("section_lower", section_lower_lhs, vol),
         # The projection-product lower bound as printed: its derivation
         # controls central sections, not shadows, and the translation step
         # fails on correlated forms (e.g. M = [[1, .9], [.9, 1]] with the
         # coordinate partition).  Evaluated and reported, not asserted.
+        Claim("printed_lower", printed_lower_lhs, vol, asserted=False),
+    ]
+    details = {
+        **ok_flags(claims),
         "printed_lower_lhs": printed_lower_lhs,
-        "printed_lower_ok": verdict_leq(printed_lower_lhs, vol) == "pass",
         "section_lower_lhs": section_lower_lhs,
         "projection_product": proj_prod,
         "section_product": sect_prod,
@@ -488,10 +475,8 @@ def _check_ellipsoid_lw(instance, params):
         "relation": "sandwich (upper + section lower asserted)",
     }
     if params.get("diagonal"):
-        ratio = upper_rhs / vol
-        details["upper_equality_ratio"] = ratio
-        if abs(ratio - 1.0) > 1e-10:
-            verdict = "fail"
+        details["upper_equality_ratio"] = upper_rhs / vol
+        claims.append(Claim("upper_equality", upper_rhs / vol, 1.0, "eq", tol=1e-10))
     return make_report(
         "ELLIPSOID_LW",
         (M, W, sets, weights),
@@ -499,7 +484,7 @@ def _check_ellipsoid_lw(instance, params):
         upper_rhs,
         constant=C_ell,
         constant_formula="C_ell*BL2",
-        verdict=verdict,
+        claims=claims,
         details=details,
     )
 
@@ -514,8 +499,6 @@ def _check_vis_p2_q(instance, params):
     for i in range(d):
         axis_prod *= sigma2_plane(s, frame[[i]])
     identity_rhs = (axis_prod / ball_volume(d)) ** (1.0 / d)
-    identity_residual = abs(vis2 - identity_rhs)
-    identity_ok = identity_residual <= 1e-9 * max(1.0, vis2)
 
     q2 = q_exact(s, d, 2.0)
     # sandwich for Q^d against the axis product, at the eigenbasis (BL2 = 1)
@@ -527,23 +510,21 @@ def _check_vis_p2_q(instance, params):
         prod_sigma2 *= sigma2_plane(s, frame[list(A)])
         lower_const *= (d_i**d_i / math.factorial(d_i)) ** 0.5
         upper_const *= (1.0 / math.factorial(d_i)) ** 0.5
-    sandwich_lower_ok = verdict_leq(lower_const * prod_sigma2, q2**d) == "pass"
-    sandwich_upper_ok = verdict_leq(q2**d, upper_const * prod_sigma2) == "pass"
 
     derived_const = (math.sqrt(math.factorial(d)) * ball_volume(d)) ** (1.0 / d)
     lower_derived = q2 / derived_const
     upper_derived = math.sqrt(d) * q2 / derived_const
-    bound_lower_ok = verdict_leq(lower_derived, vis2) == "pass"
-    bound_upper_ok = verdict_leq(vis2, upper_derived) == "pass"
+    # printed constant sqrt(d! omega_d)^(1/d): reported, not asserted
     printed_const = math.sqrt(math.factorial(d) * ball_volume(d)) ** (1.0 / d)
-    printed_lower_ok = verdict_leq(q2 / printed_const, vis2) == "pass"
-    printed_upper_ok = verdict_leq(vis2, math.sqrt(d) * q2 / printed_const) == "pass"
-
-    verdict = (
-        "pass"
-        if (identity_ok and sandwich_lower_ok and sandwich_upper_ok and bound_lower_ok and bound_upper_ok)
-        else "fail"
-    )
+    claims = [
+        Claim("identity", vis2, identity_rhs, "eq", tol=1e-9 * max(1.0, vis2)),
+        Claim("sandwich_lower", lower_const * prod_sigma2, q2**d),
+        Claim("sandwich_upper", q2**d, upper_const * prod_sigma2),
+        Claim("derived_lower", lower_derived, vis2),
+        Claim("derived_upper", vis2, upper_derived),
+        Claim("printed_lower", q2 / printed_const, vis2, asserted=False),
+        Claim("printed_upper", vis2, math.sqrt(d) * q2 / printed_const, asserted=False),
+    ]
     return make_report(
         "VIS_P2_Q",
         (s.to_dict(), dims),
@@ -551,21 +532,14 @@ def _check_vis_p2_q(instance, params):
         identity_rhs,
         constant=derived_const,
         constant_formula="((d!)^(1/2) omega_d)^(1/d)",
-        verdict=verdict,
+        claims=claims,
         details={
-            "identity_residual": identity_residual,
-            "identity_ok": identity_ok,
+            **ok_flags(claims),
+            "identity_residual": abs(vis2 - identity_rhs),
             "q_d_2": q2,
-            "sandwich_lower_ok": sandwich_lower_ok,
-            "sandwich_upper_ok": sandwich_upper_ok,
             "derived_lower": lower_derived,
             "derived_upper": upper_derived,
-            "derived_lower_ok": bound_lower_ok,
-            "derived_upper_ok": bound_upper_ok,
-            # printed constant sqrt(d! omega_d)^(1/d): status reported only
             "printed_constant": printed_const,
-            "printed_lower_ok": printed_lower_ok,
-            "printed_upper_ok": printed_upper_ok,
             "dims": dims,
             "relation": "identity + sandwich",
         },
@@ -614,9 +588,13 @@ def _check_q_inf_a(instance, params):
     s = _get_surface(instance, params)
     d = s.d
     q, res, det_u, a0, upper_const, printed_const = _q_inf_a_pieces(s, p)
-    lower_ok = verdict_leq(q, a0) == "pass"
-    upper_ok = verdict_leq(a0, upper_const * q) == "pass"
-    printed_ok = verdict_leq(a0, printed_const * q) == "pass"
+    claims = [
+        Claim("upper", a0, upper_const * q),
+        Claim("lower", q, a0),
+        # square-root exponent as printed: a theorem for p >= 2 only; for
+        # p < 2 the tight exponent is 1/p, which upper_const carries
+        Claim("printed_upper", a0, printed_const * q, asserted=False),
+    ]
     det_bound_printed = math.sqrt(math.factorial(d) / d**d) * q ** (-float(d))
     det_bound_corrected = det_u_lower_bound(d, p, q)
     report = make_report(
@@ -626,19 +604,14 @@ def _check_q_inf_a(instance, params):
         upper_const * q,
         constant=upper_const,
         constant_formula="(d^d/d!)^(1/(min(p,2) d))",
-        verdict="pass" if (lower_ok and upper_ok) else "fail",
+        claims=claims,
         details={
+            **ok_flags(claims),
             "p": p,
             "q_d_p": q,
             "witness_a": a0,
-            "lower_ok": lower_ok,
-            "upper_ok": upper_ok,
             "det_u": abs(det_u),
-            # square-root determinant bound as printed: a theorem for p >= 2
-            # only; for p < 2 the tight exponent is 1/p.  Reported, and
-            # asserted only in the p >= 2 regime via the corrected constant.
             "printed_constant": printed_const,
-            "printed_upper_ok": printed_ok,
             "det_lower_printed": det_bound_printed,
             "det_lower_corrected": det_bound_corrected,
             "det_printed_ok": bool(abs(det_u) + 1e-8 * det_bound_printed >= det_bound_printed),
@@ -659,13 +632,13 @@ def _check_vis_sandwich(instance, params):
     step = _vis_upper_constant(d, p)
     upper_constant = step * upper_const
     printed_upper_constant = step * printed_const
-    lower_verdict = verdict_leq(c0 * q, vest.value, vest.std_error)
-    upper_verdict = verdict_leq(vest.value, upper_constant * q, vest.std_error)
-    verdict = "fail"
-    if lower_verdict == "pass" and upper_verdict == "pass":
-        verdict = "pass"
-    elif lower_verdict != "fail" and upper_verdict != "fail":
-        verdict = "inconclusive"
+    se = vest.std_error
+    upper, lower, printed = (
+        Claim("upper", vest.value, upper_constant * q, error=se),
+        Claim("lower", c0 * q, vest.value, error=se),
+        # upper constant with the square-root exponent as printed
+        Claim("printed_upper", vest.value, printed_upper_constant * q, error=se, asserted=False),
+    )
     report = make_report(
         "VIS_SANDWICH",
         (s.to_dict(), p),
@@ -673,20 +646,18 @@ def _check_vis_sandwich(instance, params):
         upper_constant * q,
         constant=upper_constant,
         constant_formula="c_dp^(1/p)/omega_d^(1/d) * (d^d/d!)^(1/(min(p,2) d))",
-        mc_error=vest.std_error,
-        verdict=verdict,
+        mc_error=se,
+        claims=[upper, lower, printed],
         details={
             "p": p,
             "q_d_p": q,
             "lower_constant": c0,
             "lower_lhs": c0 * q,
-            "lower_verdict": lower_verdict,
-            "upper_verdict": upper_verdict,
+            "lower_verdict": lower.verdict(),
+            "upper_verdict": upper.verdict(),
             "vis_method": vest.method,
-            # upper constant with the square-root exponent as printed
             "printed_upper_constant": printed_upper_constant,
-            "printed_upper_ok": verdict_leq(vest.value, printed_upper_constant * q, vest.std_error)
-            != "fail",
+            "printed_upper_ok": printed.verdict() != "fail",
             "relation": "sandwich",
         },
     )
@@ -726,7 +697,8 @@ def _check_nu_measure(instance, params):
         Q = np.linalg.qr(x[:, None], mode="complete")[0]  # first column +-x
         form = nodes @ (Q.T @ E.T @ Q)
         dens = np.sum(form * nodes, axis=1) ** (-(d + 1) / 2.0)
-        h_quad = constant * float(kernel @ dens)
+        # np.sum, not a BLAS dot, so the bits do not depend on the thread count
+        h_quad = constant * float(np.sum(kernel * dens))
         h_exact = E.support(x)
         worst = max(worst, abs(h_quad - h_exact) / max(h_exact, 1e-300))
     tol = 1e-6
@@ -737,7 +709,7 @@ def _check_nu_measure(instance, params):
         tol,
         constant=constant,
         constant_formula="d omega_d^2/(2 omega_{d-1} |E|), density weight ||theta||_E^{-(d+1)}",
-        verdict="pass" if worst <= tol else "fail",
+        claims=[Claim("quadrature", worst, tol, "lt")],
         details={
             "max_relative_error": worst,
             "directions": n_dirs,
@@ -773,10 +745,6 @@ _HANDLERS = {
 CHECK_IDS = tuple(sorted(_HANDLERS))
 
 
-#: verdicts from worst to best
-_SEVERITY = ("fail", "inconclusive", "pass")
-
-
 def run_check(check_id, instance=None, params=None) -> CheckReport:
     """Run one registry check.
 
@@ -797,25 +765,27 @@ def run_check(check_id, instance=None, params=None) -> CheckReport:
     try:
         report = _HANDLERS[check_id](instance, params)
     except (ValueError, np.linalg.LinAlgError) as exc:
+        # no claim was judged, so the verdict is inconclusive
         report = make_report(
             check_id,
             (check_id, params),
             0.0,
             0.0,
-            verdict="inconclusive",
+            claims=[],
             details={"error": str(exc), "precondition_failure": True},
         )
     report.runtime_ms = (perf_counter() - started) * 1000.0
     report.seed = int(params.get("seed", 0))
     if corrupt is not None:
-        # test hook: scale the right-hand side and re-judge, to confirm the
-        # harness surfaces violations; the re-judged verdict never improves
-        # on the handler's, so an inconclusive report (bad instance,
+        # test hook: scale every claim's right-hand side and re-judge, to
+        # confirm the harness surfaces violations; the re-judged verdict never
+        # improves on the handler's, so an inconclusive report (bad instance,
         # unconverged solver) cannot turn into a pass
+        claims = [replace(c, rhs=c.rhs * float(corrupt)) for c in report.details["claims"]]
+        report.details["claims"] = claims
         report.rhs = report.rhs * float(corrupt)
         report.margin = report.rhs - report.lhs
-        rejudged = verdict_leq(report.lhs, report.rhs, report.mc_error)
-        report.verdict = min(report.verdict, rejudged, key=_SEVERITY.index)
+        report.verdict = min(report.verdict, worst_verdict(claims), key=SEVERITY.index)
         report.details["corrupted_rhs_factor"] = float(corrupt)
     return report
 
@@ -923,18 +893,11 @@ def run_suite(config) -> SuiteResult:
 
     reports = [run_check(cid, inst, prm) for cid, inst, prm in jobs]
 
-    counts = {"pass": 0, "fail": 0, "inconclusive": 0}
-    failed = []
-    for r in reports:
-        counts[r.verdict] = counts.get(r.verdict, 0) + 1
-        if r.verdict == "fail":
-            failed.append(r.check_id)
+    verdicts = [r.verdict for r in reports]
     summary = {
         "total": len(reports),
-        "pass": counts.get("pass", 0),
-        "fail": counts.get("fail", 0),
-        "inconclusive": counts.get("inconclusive", 0),
-        "failed_ids": failed,
+        **{v: verdicts.count(v) for v in SEVERITY},
+        "failed_ids": [r.check_id for r in reports if r.verdict == "fail"],
     }
     clean_config = {
         "seed": base_seed,

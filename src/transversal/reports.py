@@ -1,10 +1,10 @@
-"""Check reports, and the one error-bar record every estimate returns.
+"""Check reports, the claims they judge, and the one error-bar record every
+estimate returns.
 
-Every check produces a CheckReport whose claim is normalized to the
-orientation ``lhs <= rhs`` (equality checks set ``details["relation"]`` to
-"eq").  Verdicts: "pass" when the claim holds within a relative band,
-"inconclusive" when a violation is within three Monte Carlo standard errors,
-"fail" otherwise.
+A check states its sub-claims (both sides of a sandwich, an identity, an
+equality case, a printed constant reported but not asserted) as ``Claim``
+records.  ``make_report`` keeps the worst verdict of the asserted claims;
+the report's top-level lhs/rhs are its first asserted claim.
 
 An ``Estimate`` is a value with its error bar, whatever route produced it:
 a volume, a visibility, or a Monte Carlo tuple quantity.
@@ -51,15 +51,59 @@ def fingerprint(*parts) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
-def verdict_leq(lhs, rhs, mc_error=0.0, rel=REL_BAND, abs_=ABS_BAND) -> str:
+def verdict_leq(lhs, rhs, mc_error=0.0) -> str:
     """Verdict for the claim lhs <= rhs with a Monte Carlo allowance."""
     violation = lhs - rhs
-    band = rel * abs(rhs) + abs_
+    band = REL_BAND * abs(rhs) + ABS_BAND
     if violation <= band:
         return "pass"
     if violation <= 3.0 * mc_error + band:
         return "inconclusive"
     return "fail"
+
+
+#: verdicts from worst to best
+SEVERITY = ("fail", "inconclusive", "pass")
+
+_RELATIONS = {
+    "leq": lambda c: verdict_leq(c.lhs, c.rhs, c.error),
+    "eq": lambda c: "pass" if abs(c.lhs - c.rhs) <= c.tol else "fail",
+    "lt": lambda c: "pass" if c.rhs - c.lhs > c.tol else "fail",
+}
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One sub-claim ``lhs <relation> rhs`` of a check.  ``leq`` is judged by
+    ``verdict_leq`` with ``error`` as the error bar, ``eq`` holds when
+    |lhs - rhs| <= tol and ``lt`` when rhs - lhs > tol.  An unasserted claim
+    (a printed constant) is reported and never moves the verdict."""
+
+    name: str
+    lhs: float
+    rhs: float
+    relation: str = "leq"
+    error: float = 0.0
+    tol: float = 0.0
+    asserted: bool = True
+
+    def verdict(self):
+        return _RELATIONS[self.relation](self)
+
+    def to_dict(self):
+        keys = ("name", "lhs", "rhs", "relation", "asserted")
+        return {**{k: getattr(self, k) for k in keys}, "verdict": self.verdict()}
+
+
+def worst_verdict(claims):
+    """The worst verdict of the asserted claims; inconclusive when none is."""
+    verdicts = [c.verdict() for c in claims if c.asserted]
+    return min(verdicts, key=SEVERITY.index, default="inconclusive")
+
+
+def ok_flags(claims):
+    """``{"<name>_ok": passed}`` for each claim, the boolean form of its verdict."""
+    return {f"{c.name}_ok": c.verdict() == "pass" for c in claims}
 
 
 @dataclass(frozen=True)
@@ -109,10 +153,6 @@ class CheckReport:
             "details": _canon(self.details),
         }
 
-    @property
-    def passed(self):
-        return self.verdict == "pass"
-
 
 def make_report(
     check_id,
@@ -123,16 +163,16 @@ def make_report(
     constant=None,
     constant_formula="",
     mc_error=0.0,
-    verdict=None,
+    claims=None,
     seed=0,
     details=None,
 ) -> CheckReport:
-    """Assemble a CheckReport; default verdict is the lhs <= rhs comparison."""
-    details = dict(details or {})
+    """Assemble a CheckReport judged by ``claims`` (default: lhs <= rhs within mc_error)."""
+    if claims is None:
+        claims = [Claim("bound", lhs, rhs, error=mc_error)]
+    details = dict(details or {}, claims=list(claims))
     if constant_formula:
         details.setdefault("constant_formula", constant_formula)
-    if verdict is None:
-        verdict = verdict_leq(lhs, rhs, mc_error)
     return CheckReport(
         check_id=check_id,
         instance=fingerprint(*instance_parts),
@@ -141,7 +181,7 @@ def make_report(
         constant=constant,
         margin=float(rhs) - float(lhs),
         mc_error=float(mc_error),
-        verdict=verdict,
+        verdict=worst_verdict(claims),
         seed=int(seed),
         details=details,
     )

@@ -47,7 +47,7 @@ import numpy as np
 
 from .geom_core import _rho_from_dets, gram_dets, unit_directions
 from .hypersurface import DiscreteHypersurface, UniformCover, validate_cover
-from .reports import Estimate, make_report, verdict_leq
+from .reports import Claim, Estimate, make_report, ok_flags
 
 #: fixed enumeration chunk (block boundaries, hence results, do not vary)
 CHUNK = 1 << 17
@@ -337,11 +337,11 @@ def finner_check(surfaces, cover, p, *, budget=DEFAULT_BUDGET, seed=0):
 
     rhs_refined = classical * refinement
     rhs_coarse = classical * sup_rho ** (1.0 / j)
-    residual = abs(lhs - rhs_refined)
-    identity_ok = residual <= 1e-9 * max(1.0, lhs)
-    coarse_ok = verdict_leq(lhs, rhs_coarse) == "pass"
-    classical_ok = verdict_leq(lhs, classical) == "pass"
-    verdict = "pass" if (identity_ok and coarse_ok and classical_ok) else "fail"
+    claims = [
+        Claim("identity", lhs, rhs_refined, "eq", tol=1e-9 * max(1.0, lhs)),
+        Claim("coarse", lhs, rhs_coarse),
+        Claim("classical", lhs, classical),
+    ]
     return make_report(
         "FINNER_RHO",
         ([s.to_dict() for s in surfaces], cover.sets, cover.alphas, p),
@@ -349,17 +349,15 @@ def finner_check(surfaces, cover, p, *, budget=DEFAULT_BUDGET, seed=0):
         rhs_refined,
         constant=sup_rho ** (1.0 / j),
         constant_formula="sup_rho^(1/j)",
-        verdict=verdict,
+        claims=claims,
         seed=seed,
         details={
+            **ok_flags(claims),
             "classical": classical,
             "rhs_coarse": rhs_coarse,
             "refinement": refinement,
             "sup_rho": sup_rho,
-            "identity_residual": residual,
-            "identity_ok": identity_ok,
-            "coarse_ok": coarse_ok,
-            "classical_ok": classical_ok,
+            "identity_residual": abs(lhs - rhs_refined),
             "block_Q": block_Q,
             "relation": "eq-then-leq-chain",
         },
@@ -442,10 +440,6 @@ def jp_bound_check(surface: DiscreteHypersurface, p, *, seed=0):
     sv, Qt = surface.whiten()  # second-moment matrix (Qt^T sv^2) Qt
     isotropic = bool(np.max(np.abs((Qt.T * sv**2) @ Qt - np.eye(d) / d)) <= 1e-12)
     certificate = zero_one and isotropic
-    verdict = verdict_leq(lhs, rhs, 0.0)
-    gap = rhs - lhs
-    if certificate and abs(gap) > 1e-10:
-        verdict = "fail"
     return make_report(
         "JP_BOUND",
         (surface.to_dict(), p),
@@ -453,13 +447,16 @@ def jp_bound_check(surface: DiscreteHypersurface, p, *, seed=0):
         rhs,
         constant=1.0 - 1.0 / d,
         constant_formula="1 - 1/d",
-        verdict=verdict,
+        claims=[
+            Claim("bound", lhs, rhs),
+            Claim("equality", lhs, rhs, "eq", tol=1e-10, asserted=certificate),
+        ],
         seed=seed,
         details={
             "equality_certificate": certificate,
             "orthogonal_support": zero_one,
             "isotropic": isotropic,
-            "gap": gap,
+            "gap": rhs - lhs,
             "p": p,
         },
     )

@@ -33,7 +33,7 @@ import numpy as np
 
 from .constants import ball_volume
 from .hypersurface import DiscreteHypersurface
-from .reports import Estimate, make_report
+from .reports import Claim, Estimate, make_report
 from .transversality import CHUNK, DEFAULT_BUDGET, q_exact
 from .zonotope import Zonotope, _check_frame, projection_body
 
@@ -49,13 +49,12 @@ class EllipsoidBody:
         T = np.asarray(T, dtype=float)
         if T.ndim != 2 or T.shape[0] != T.shape[1]:
             raise ValueError("T must be square")
-        scale = max(1.0, float(np.max(np.abs(T))))
-        if np.max(np.abs(T - T.T)) > 1e-12 * scale:
-            raise ValueError("T must be symmetric (tolerance 1e-12)")
-        eigs = np.linalg.eigvalsh(T)
-        if eigs[0] <= 1e-12 * max(float(np.trace(T)), 1e-300):
+        if np.max(np.abs(T - T.T)) > 1e-12 * np.max(np.abs(T)):
+            raise ValueError("T must be symmetric (relative tolerance 1e-12)")
+        T = 0.5 * (T + T.T)
+        if np.linalg.eigvalsh(T)[0] <= 1e-12 * max(float(np.trace(T)), 1e-300):
             raise ValueError("T must be positive definite")
-        self.T = 0.5 * (T + T.T)
+        self.T = T
         self.d = T.shape[0]
 
     @property
@@ -374,7 +373,8 @@ def santalo_check(s: DiscreteHypersurface, *, n_samples=1_000_000, seed=0):
     mc_error = (2.0**d) * vol.std_error / vol.value**2 if vol.std_error else 0.0
     dirs = _distinct_directions(s)
     parallelotope = len(dirs) == d and np.linalg.matrix_rank(dirs, tol=1e-10) == d
-    gap = rhs - lhs
+    exact_case = bool(parallelotope) and vol.method == "exact"
+    equality = Claim("equality", lhs, rhs, "eq", tol=1e-9 * max(1.0, rhs), asserted=exact_case)
     report = make_report(
         "SANTALO",
         (s.to_dict(), vol.n_samples),
@@ -383,17 +383,17 @@ def santalo_check(s: DiscreteHypersurface, *, n_samples=1_000_000, seed=0):
         constant=2.0**d,
         constant_formula="(2 vis_1)^d",
         mc_error=mc_error,
+        claims=[Claim("bound", lhs, rhs, error=mc_error), equality],
         seed=seed,
         details={
             "volume_K1": vol.value,
             "volume_method": vol.method,
             "equality_case": bool(parallelotope),
-            "equality_gap": gap,
+            "equality_gap": rhs - lhs,
             "relation": "leq",
         },
     )
-    if parallelotope and vol.method == "exact" and abs(gap) > 1e-9 * max(1.0, rhs):
-        report.verdict = "fail"
+    if equality.asserted and equality.verdict() == "fail":
         report.details["equality_violation"] = True
     return report
 

@@ -16,7 +16,7 @@ import numpy as np
 from .constants import ConstantsCatalog, ball_volume
 from .geom_core import gram_dets
 from .hypersurface import DiscreteHypersurface, UniformCover, validate_cover
-from .reports import make_report, verdict_leq
+from .reports import Claim, make_report
 from .transversality import DEFAULT_BUDGET, _index_blocks
 
 #: Zonotope.rank counts singular values above RANK_TOL times the largest
@@ -251,7 +251,7 @@ def bezout_check(body, zonotopes, cover, *, budget=DEFAULT_BUDGET, seed=0):
         v_i = mixed_volume(body, d - d_i, [zonotopes[l] for l in A], budget=budget)
         block_mixed.append(v_i)
         rhs *= v_i
-    verdict = verdict_leq(lhs, rhs)
+    claims = [Claim("bound", lhs, rhs)]
     details = {
         "volume_K": vol_K,
         "mixed_full": v_full,
@@ -274,14 +274,13 @@ def bezout_check(body, zonotopes, cover, *, budget=DEFAULT_BUDGET, seed=0):
         for v_i, d_i in zip(block_mixed, sizes):
             q_blocks *= q_of(v_i, d_i) ** (d_i / (s * j))
         q_rhs = q_const * q_blocks
+        claims.append(Claim("q_form", q_lhs, q_rhs))
         details["q_form"] = {
             "lhs": q_lhs,
             "rhs": q_rhs,
             "constant": q_const,
-            "holds": verdict_leq(q_lhs, q_rhs) == "pass",
+            "holds": claims[-1].verdict() == "pass",
         }
-        if verdict == "pass" and not details["q_form"]["holds"]:
-            verdict = "fail"
     return make_report(
         "BEZOUT",
         (body.to_dict(), [z.to_dict() for z in zonotopes], cover.sets, s),
@@ -289,7 +288,7 @@ def bezout_check(body, zonotopes, cover, *, budget=DEFAULT_BUDGET, seed=0):
         rhs,
         constant=const,
         constant_formula="prod_i C(d-d_i,d-j)C(d,d_i) / C(d,j)^r",
-        verdict=verdict,
+        claims=claims,
         seed=seed,
         details=details,
     )

@@ -14,7 +14,7 @@ import pytest
 from transversal.hypersurface import DiscreteHypersurface, random_surface
 from transversal.lewis import isotropy_defect, lewis_p2_closed_form
 from transversal.transversality import q_exact
-from transversal.volumes import kp_volume
+from transversal.volumes import EllipsoidBody, kp_volume
 from transversal.zonotope import Ball, mixed_volume, projection_body, zonotope_volume
 
 SCALES = (1e-13, 1e-8, 1e8, 1e13)
@@ -70,3 +70,12 @@ def test_kp_volume_and_p2_position_follow_ill_conditioned_maps(d):
                 assert abs(v.value * det - b.value) <= bars + 100.0 * c * eps * b.value, (c, p)
             defect = isotropy_defect(t, lewis_p2_closed_form(t), 2.0).defect
             assert defect <= 1e-9 + 100.0 * c * eps, c
+
+
+def test_ellipsoid_body_checks_are_scale_free():
+    # asymmetric at every scale, and indefinite once symmetrized
+    with pytest.raises(ValueError, match="symmetric"):
+        EllipsoidBody(1e-13 * np.array([[1.0, 5.0], [0.0, 1.0]]))
+    for c in (1e-13, 1e13):
+        e = EllipsoidBody(c * np.diag([4.0, 1.0]))
+        assert e.volume() == pytest.approx(np.pi / (2.0 * c), rel=1e-12)
