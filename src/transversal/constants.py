@@ -30,10 +30,6 @@ class ConstantsCatalog:
     """Registry constants."""
 
     @staticmethod
-    def omega(m):
-        return ball_volume(m)
-
-    @staticmethod
     def b_d(d, dims):
         """Per-frame shadow-product upper constant (d! / (2^d prod d_i!))^(1/d)."""
         num = math.factorial(d)

@@ -7,8 +7,8 @@ principal blocks; it lies in [0, 1] by a determinant majorization argument and
 equals 1 exactly when the blocks are mutually orthogonal.
 
 gram_dets is the batched kernel behind every wedge norm and cover factor in
-the package: the tuple sums, finner_check and the mixed volumes call it on
-stacks of tuples, wedge_norm and rho_factor on one.  _rho_from_dets is the one
+the package: the tuple sums (mixed volumes among them), q_montecarlo and
+finner_check call it on stacks of tuples, wedge_norm and rho_factor on one.  _rho_from_dets is the one
 rule that forms rho from the full and block determinants; rho_factor calls it
 on one tuple, finner_check on block determinants read from its tables.
 """

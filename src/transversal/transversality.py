@@ -20,7 +20,9 @@ tuples, by one of three routes:
 * injective  -- integrands that are not slot-symmetric but vanish on
                 repeated atoms (the refinement pass of finner_check): ordered
                 tuples of distinct atoms;
-* product    -- any other slot list: all ordered tuples.
+* product    -- any other slot list: all ordered tuples, but a slot-symmetric
+                sum walks each run of r consecutive slots that hold one
+                surface object by its r-subsets (times r!) instead.
 
 The same rule lets q_montecarlo give draws that repeat an atom a zero
 determinant without computing it.  q_exact at p = 2 with one surface in
@@ -32,8 +34,9 @@ that block's atom tuples, built once per call, and the block sums Q_i are
 summed from the same tables.
 
 The budget bounds the tuples each walk yields (C(m, j) subsets, m!/(m-j)!
-injective tuples, prod m_k ordered tuples, and prod m_l for a block table
-over its slots l); _index_blocks alone checks it, when the walk is created.
+injective tuples, prod m_k ordered tuples or prod C(m, r) over the runs, and
+prod m_l for a block table over its slots l); _index_blocks alone checks it,
+when the walk is created.
 The Cauchy-Binet sum walks nothing.  Index blocks are generated lazily,
 CHUNK at a time, so no full index array is ever held in memory.
 """
@@ -115,13 +118,23 @@ def _tuple_blocks(surfaces, budget=DEFAULT_BUDGET):
     """Weights (n,), stacked vectors (n, j, d) and the multiplicity of each
     block of a slot-symmetric tuple sum over ``surfaces``.
 
-    With one surface object in every slot, the sum runs over j-subsets
-    (multiplicity j!); tuples that repeat an atom are skipped, which is exact
-    because their wedge is 0.  Otherwise it runs over all ordered tuples.
+    Each run of r consecutive slots that hold one surface object takes its
+    r-subsets (multiplicity r!); tuples that repeat an atom within a run are
+    skipped, which is exact because their wedge is 0.  One run is walked
+    lazily; several by the product over per-run subset tables, which for
+    runs of length 1 is all ordered tuples.
     """
-    route = "subset" if _same_surface(surfaces) else "product"
-    mult = math.factorial(len(surfaces)) if route == "subset" else 1
-    for idx in _index_blocks([s.m for s in surfaces], route, budget):
+    runs = [list(g) for _, g in itertools.groupby(surfaces, key=id)]
+    if len(runs) == 1:
+        blocks = _index_blocks([surfaces[0].m] * len(surfaces), "subset", budget)
+    else:
+        shapes = [(run[0].m, len(run)) for run in runs]
+        walk = _index_blocks([math.comb(m, r) for m, r in shapes], budget=budget)
+        flat = [itertools.chain.from_iterable(itertools.combinations(range(m), r)) for m, r in shapes]
+        tables = [np.fromiter(f, np.intp).reshape(-1, r) for f, (_, r) in zip(flat, shapes)]
+        blocks = (np.hstack([T[rows[:, i]] for i, T in enumerate(tables)]) for rows in walk)
+    mult = math.prod(math.factorial(len(run)) for run in runs)
+    for idx in blocks:
         V = np.stack([s.vectors[idx[:, k]] for k, s in enumerate(surfaces)], axis=1)
         yield _slot_weights(surfaces, idx), V, mult
 
@@ -186,8 +199,7 @@ def _cauchy_binet_sum(s, j):
 def q_exact(surfaces, j, p, *, budget=DEFAULT_BUDGET) -> float:
     """Exact Q_j^p: by Cauchy-Binet when p = 2 and a single surface fills
     every slot, away from rank deficiency; otherwise by tuple enumeration
-    (j-subsets when a single surface fills every slot, all ordered tuples
-    otherwise).
+    (see _tuple_blocks for the walk).
 
     Parameters
     ----------
@@ -198,9 +210,9 @@ def q_exact(surfaces, j, p, *, budget=DEFAULT_BUDGET) -> float:
     p : float
         Positive exponent.
     budget : int
-        Maximum number of tuples the enumeration walks: C(m, j) j-subsets
-        with one surface in every slot, prod_k m_k ordered tuples otherwise.
-        The Cauchy-Binet route walks none and is not bounded.
+        Maximum number of tuples the enumeration walks: prod C(m, r) over
+        the runs of r consecutive slots that hold one surface object (prod_k
+        m_k for distinct surfaces).  Cauchy-Binet walks none, unbounded.
     """
     j = int(j)
     if j < 1:

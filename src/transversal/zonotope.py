@@ -4,7 +4,8 @@ A zonotope with generators g_1..g_m is the Minkowski sum of the segments
 [-g_i, g_i].  The projection body of a discrete hypersurface has generators
 w_i * v_i; plane shadows of the projection body come from determinant
 expansion (``sigma_plane``), which the tests cross-check against direct
-tuple enumeration.
+tuple enumeration.  A mixed volume with entries is one Q^1 tuple sum
+(transversality._q_sum) over unit-weight generator slots.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ import math
 import numpy as np
 
 from .constants import ConstantsCatalog, ball_volume
-from .geom_core import gram_dets
 from .hypersurface import DiscreteHypersurface, UniformCover, validate_cover
 from .reports import Claim, make_report
-from .transversality import DEFAULT_BUDGET, _index_blocks
+from .transversality import DEFAULT_BUDGET, _index_blocks, _q_sum
 
 #: Zonotope.rank counts singular values above RANK_TOL times the largest
 RANK_TOL = 1e-10
@@ -122,41 +122,30 @@ def sigma_plane(s: DiscreteHypersurface, frame) -> float:
     return math.factorial(k) / (2.0**k) * vol
 
 
-def _normal_frame(W):
-    """Orthonormal rows spanning the orthogonal complement of the rows of W."""
-    k, d = W.shape
-    Q = np.linalg.qr(W.T, mode="complete")[0]
-    return Q[:, k:].T
-
-
 def _entry_generators(entry, d):
     if isinstance(entry, Zonotope):
         if entry.d != d:
             raise ValueError("zonotope entry dimension mismatch")
-        return entry.generators, True
+        return entry.generators
     v = np.asarray(entry, dtype=float)
     if v.shape != (d,):
         raise ValueError(f"segment entry must be a length-{d} vector")
-    return v[None, :], False
+    return v[None, :]
 
 
 def mixed_volume(body, multiplicity, entries, *, budget=DEFAULT_BUDGET) -> float:
     """Mixed volume V(body[d-k], Z_1, ..., Z_k) with segment/zonotope entries.
 
-    Each entry is a Zonotope (expanded multilinearly over its generators with
-    a factor 2 per segment [-g, g]) or a plain vector w, read as the segment
-    [0, w].  The per-tuple contribution is
-
-        |w_1 ^ ... ^ w_k| * |P_{W^perp} body| / (k! * C(d, k)),
-
-    and tuples with dependent directions contribute 0.  Tuples are taken in
-    chunks with batched Gram determinants (geom_core.gram_dets), and a tuple
-    is kept exactly when its determinant is positive: the kernel's rank
-    floor, relative to the tuple's largest singular value, makes a dependent
-    tuple's determinant 0 at any scale; a Ball's shadow is the constant
-    omega_{d-k}, and only a Zonotope body computes a shadow per surviving
-    tuple.  ``budget`` bounds the entry tuples, the product of the entries'
-    generator counts (or, with no entries, the body's volume expansion).
+    Each entry is a Zonotope (a factor 2 per segment [-g, g]) or a plain
+    vector w, read as the segment [0, w].  By multilinearity (Schneider,
+    Convex Bodies, ch. 5) V is the Q^1 tuple sum R = transversality._q_sum
+    over unit-weight generator slots: the k entries for a Ball body, with
+    V = 2^doubles omega_{d-k} R / (k! C(d, k)); the body's generators in d-k
+    slots (one surface) ahead of the entries for a Zonotope body, with
+    V = 2^(doubles+d-k) R / d!.  Dependent tuples give exactly 0 (the rank
+    floor of geom_core.gram_dets).  ``budget`` bounds the tuples walked: the
+    product of the entries' generator counts, times C(m_body, d-k) for a
+    Zonotope body (with no entries, the body's volume expansion).
     """
     if isinstance(body, (Ball, Zonotope)):
         d = body.d
@@ -170,29 +159,17 @@ def mixed_volume(body, multiplicity, entries, *, budget=DEFAULT_BUDGET) -> float
         return body.volume() if isinstance(body, Ball) else zonotope_volume(body, budget=budget)
     if k > d:
         raise ValueError("more segment entries than dimensions")
-    gens = []
-    doubles = 0
-    for entry in entries:
-        G, doubled = _entry_generators(entry, d)
-        gens.append(G)
-        doubles += int(doubled)
-    partial = []
-    for idx in _index_blocks([G.shape[0] for G in gens], budget=budget):
-        V = np.stack([G[idx[:, i]] for i, G in enumerate(gens)], axis=1)
-        det = gram_dets(V)
-        keep = det > 0.0
-        wedge = np.sqrt(det[keep])
-        if k == d:
-            shadow = 1.0
-        elif isinstance(body, Ball):
-            shadow = ball_volume(d - k)
-        else:
-            # (d-k)-volume of the body's shadow onto the complement of span(W)
-            shadow = np.array(
-                [zonotope_volume(project_zonotope(body, _normal_frame(W))) for W in V[keep]]
-            )
-        partial.append(float(np.sum(wedge * shadow)))
-    return (2.0**doubles) * math.fsum(partial) / (math.factorial(k) * math.comb(d, k))
+    doubles = sum(isinstance(entry, Zonotope) for entry in entries)
+    r = d - k if isinstance(body, Zonotope) else 0
+    gens = ([body.generators] if r else []) + [_entry_generators(entry, d) for entry in entries]
+    if any(G.shape[0] == 0 for G in gens):
+        return 0.0
+    slots = [DiscreteHypersurface(d, [(1.0, g) for g in G]) for G in gens]
+    # the r body slots hold one surface object, so they are walked by subsets
+    R = _q_sum(slots[:1] * r + slots[min(r, 1) :], 1.0, budget)
+    if isinstance(body, Ball):
+        return (2.0**doubles) * ball_volume(d - k) * R / (math.factorial(k) * math.comb(d, k))
+    return (2.0 ** (doubles + r)) * R / math.factorial(d)
 
 
 def bezout_check(body, zonotopes, cover, *, budget=DEFAULT_BUDGET, seed=0):

@@ -318,7 +318,7 @@ class ConstantsCatalog(constants.ConstantsCatalog):
             return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
         for m in range(dims_max + 1):
-            worst = max(worst, rel(cls.omega(m), cls.omega_alt(m)))
+            worst = max(worst, rel(constants.ball_volume(m), cls.omega_alt(m)))
         partitions = {
             2: [(1, 1), (2,)],
             3: [(1, 1, 1), (1, 2), (3,)],

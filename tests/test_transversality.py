@@ -229,6 +229,9 @@ def test_q_subset_route_matches_product_route(d, m, j_frac, p, seed):
     subset = q_exact([s] * j, j, p)
     product = q_exact(_distinct_slots(s, j), j, p)
     assert subset == pytest.approx(product, rel=1e-12, abs=0.0)
+    # two runs of one object each: the product over per-run subset tables
+    runs = q_exact([s] * (j - 1) + [copy.copy(s)], j, p)
+    assert runs == pytest.approx(product, rel=1e-12, abs=0.0)
 
 
 @given(m=st.integers(1, 7), p=st.floats(0.5, 4.0), seed=st.integers(0, 2**16))

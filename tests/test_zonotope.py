@@ -70,6 +70,11 @@ def test_mixed_volume_budget_counts_entry_tuples():
     with pytest.raises(ValueError):
         mixed_volume(Ball(3), 1, entries, budget=19)  # 4 * 5 = 20 entry tuples
     assert mixed_volume(Ball(3), 1, entries, budget=20) == mixed_volume(Ball(3), 1, entries)
+    # a Zonotope body adds its C(6, 1) = 6 generators as the one body slot
+    body = Zonotope(3, rng.normal(size=(6, 3)))
+    with pytest.raises(ValueError):
+        mixed_volume(body, 1, entries, budget=119)  # 6 * 4 * 5 = 120 tuples
+    assert mixed_volume(body, 1, entries, budget=120) == mixed_volume(body, 1, entries)
 
 
 def test_mixed_volume_of_body_alone_honours_budget():
@@ -127,7 +132,7 @@ def test_mixed_volume_zonotope_entry_doubles():
     assert zon == pytest.approx(2.0 * seg, rel=1e-14)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("body_kind", ["ball", "zonotope"])
 def test_mixed_volume_matches_per_tuple_oracle(body_kind, k):
     rng = np.random.default_rng(17 + k)
@@ -176,6 +181,8 @@ def test_mixed_volume_degenerate_tuple_contributes_zero():
         2.0 * mixed_volume(Ball(3), 1, [w, 1.7 * v]), rel=1e-14
     )
     assert mixed_volume(Zonotope(3, np.eye(3)), 1, [Zonotope(3, [v]), 1.7 * v]) == 0.0
+    # a zonotope with no generators is the point {0}
+    assert mixed_volume(Zonotope(3, np.zeros((0, 3))), 2, [v]) == 0.0
 
 
 def test_mixed_volume_full_dimension_parallelepiped():
@@ -203,9 +210,14 @@ def test_bezout_random_instances_pass():
         assert report.lhs <= report.rhs * (1 + 1e-9)
         q_form = report.details["q_form"]
         assert q_form["holds"]
-        # the derived Q against an independent tuple enumeration
+        # the derived Q against Q_2^1 of the generators; both run _q_sum, so
+        # the Q recovered from the per-tuple cofactor oracle checks them too,
+        # by V(B[1], Z_0, Z_1) = 2^2 omega_1 Q^2 / (2! C(3, 2))
         gens = [DiscreteHypersurface(3, [(1.0, g) for g in z.generators]) for z in zs]
         assert q_form["lhs"] == pytest.approx(q_exact(gens, 2, 1.0), rel=1e-12)
+        v_oracle = mixed_volume_oracle(3, [z.generators for z in zs])
+        q_oracle = math.sqrt(v_oracle * 2 * 3 / (4 * ball_volume(1)))
+        assert q_form["lhs"] == pytest.approx(q_oracle, rel=1e-12)
 
 
 def test_bezout_overlapping_counting_cover():
